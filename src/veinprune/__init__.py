@@ -10,9 +10,6 @@ definition-level oracle and a fast cover-graph algorithm, selected with a
 The tool half lives in :mod:`veinprune.cli` as the ``veinprune`` command.
 """
 
-from . import irreducibles as _irreducibles
-from . import pruning as _pruning
-from . import veins as _veins
 from .connectivity import SetFamily
 from .errors import (
     CycleDetected,
@@ -97,15 +94,9 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Drop every memoized per-poset table.
+    """Do nothing; kept so that existing callers keep working.
 
-    The caches are keyed by poset value, so value-equal posets share
-    entries; clear them when timing the fast and oracle routes against
-    each other, or to release memory after a large run.
+    Every memoized table lives on the poset it describes and is freed
+    with it, so there is no process-wide cache left to clear. A fresh
+    poset, even one equal to an earlier poset, starts with cold caches.
     """
-    _veins._maximal_chain_masks.cache_clear()
-    _veins._bridge_pairs_ix.cache_clear()
-    _veins._bridge_paths_ix.cache_clear()
-    _pruning._strict_vein_masks.cache_clear()
-    _pruning._star_above.cache_clear()
-    _irreducibles._proper_meets.cache_clear()

@@ -15,7 +15,7 @@ import sys
 from . import families, formats, pruning, suite, veins
 from .errors import InternalOrderViolation, InvalidSpec, VeinpruneError
 from .irreducibles import preservation_report, profiles
-from .poset import Poset
+from .poset import Poset, _bits
 
 
 def _load(path: str) -> formats.PosetDocument:
@@ -43,12 +43,13 @@ def _yn(flag: bool) -> str:
 
 
 def _count_maximal_chains(p: Poset) -> int:
-    # paths from minimal to maximal elements, counted without enumeration
-    total: dict[str, int] = {}
-    for x in sorted(p.labels, key=lambda lab: len(p.strict_upset(lab))):
-        ups = p.upper_covers(x)
-        total[x] = sum(total[u] for u in ups) if ups else 1
-    return sum(total[x] for x in p.minimal_elements())
+    # paths from minimal to maximal elements, counted without enumeration;
+    # fewer elements above comes first, so upper covers are counted first
+    total = [0] * len(p)
+    for i in sorted(range(len(p)), key=lambda k: p._above[k].bit_count()):
+        ups = p._ucov[i]
+        total[i] = sum(total[j] for j in _bits(ups)) if ups else 1
+    return sum(t for t, down in zip(total, p._below) if not down)
 
 
 # ----------------------------------------------------------------------
@@ -62,10 +63,10 @@ def _cmd_info(args: argparse.Namespace) -> int:
         print(f"name: {doc.name}")
     print(f"elements: {len(p)}")
     print(f"cover pairs: {len(p.covers)}")
-    print(f"strict relations: {len(p.relations())}")
+    print(f"strict relations: {sum(m.bit_count() for m in p._above)}")
     print(f"minimal elements: {' '.join(p.minimal_elements())}")
     print(f"maximal elements: {' '.join(p.maximal_elements())}")
-    print(f"height: {max(p.heights().values())}")
+    print(f"height: {max(p.heights().values(), default=0)}")
     chains = _count_maximal_chains(p)
     print(f"maximal chains: {chains}")
     if chains <= 20:
@@ -126,7 +127,7 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
 def _cmd_irr(args: argparse.Namespace) -> int:
     p = _load(args.file).to_poset()
     prof = profiles(p)
-    width = max(len("element"), max(len(x) for x in p.labels))
+    width = max(map(len, ("element",) + p.labels))
     print(f"{'element':<{width}}  irreducible  coirreducible  doubly")
     for x in p.labels:
         entry = prof[x]

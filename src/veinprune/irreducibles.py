@@ -6,15 +6,23 @@ Coirreducible is the same notion in the opposite poset. In a conditionally
 complete poset, irreducibility is equivalent to never being a proper meet:
 x = meet(a, b) forces x in {a, b}. Pruning a finite conditionally complete
 poset leaves both classes of elements unchanged.
+
+In a finite poset, x is irreducible iff it has at most one upper cover.
+The strict upper set of x is always up-closed. If c is the only upper
+cover of x, every y > x lies above c (a cover path from x to y starts at
+c), so c is a lower bound of the whole set inside it. If c and d are two
+upper covers, a common lower bound z > x of both satisfies x < z <= c, so
+z = c, and likewise z = d: there is none. Dually, x is coirreducible iff
+it has at most one lower cover. The tests below are therefore bit counts
+on the cover masks; :meth:`Poset.is_filtered_upset` stays the definition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import NotConditionallyComplete
-from .poset import Poset
+from .poset import Poset, _bits, _memoized
 from .pruning import prune
 
 
@@ -31,33 +39,39 @@ class IrreducibilityProfile:
         return self.irreducible and self.coirreducible
 
 
+def _at_most_one(mask: int) -> bool:
+    return not mask & (mask - 1)
+
+
 def is_irreducible(p: Poset, x: str) -> bool:
-    """True iff x is maximal or its strict upper set is a filter."""
-    if not p._above[p._i(x)]:
-        return True
-    return p.is_filtered_upset(p.strict_upset(x))
+    """True iff x is maximal or its strict upper set is a filter.
+
+    Computed as: x has at most one upper cover.
+    """
+    return _at_most_one(p._ucov[p._i(x)])
 
 
 def is_coirreducible(p: Poset, x: str) -> bool:
-    """True iff x is irreducible in the opposite poset."""
-    return is_irreducible(p.opposite(), x)
+    """True iff x is irreducible in the opposite poset.
+
+    Computed as: x has at most one lower cover.
+    """
+    return _at_most_one(p._dcov[p._i(x)])
 
 
 def profiles(p: Poset) -> dict[str, IrreducibilityProfile]:
-    """Profile every element; the opposite poset is built only once."""
-    op = p.opposite()
-    return {x: IrreducibilityProfile(x, is_irreducible(p, x),
-                                     is_irreducible(op, x))
-            for x in p.labels}
+    """Profile every element from its cover counts."""
+    return {x: IrreducibilityProfile(x, _at_most_one(up), _at_most_one(down))
+            for x, up, down in zip(p.labels, p._ucov, p._dcov)}
 
 
 def irreducibles(p: Poset) -> tuple[str, ...]:
-    return tuple(x for x in p.labels if is_irreducible(p, x))
+    return tuple(x for x, up in zip(p.labels, p._ucov) if _at_most_one(up))
 
 
 def coirreducibles(p: Poset) -> tuple[str, ...]:
-    op = p.opposite()
-    return tuple(x for x in p.labels if is_irreducible(op, x))
+    return tuple(x for x, down in zip(p.labels, p._dcov)
+                 if _at_most_one(down))
 
 
 def doubly_irreducibles(p: Poset) -> frozenset[str]:
@@ -66,19 +80,20 @@ def doubly_irreducibles(p: Poset) -> frozenset[str]:
     return frozenset(x for x, entry in prof.items() if entry.doubly)
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def _proper_meets(p: Poset) -> frozenset[str]:
-    """Elements expressible as meet(a, b) with the element outside {a, b}."""
+    """Elements expressible as meet(a, b) with the element outside {a, b}.
+
+    The meet of comparable elements is one of them, so only incomparable
+    pairs count; their meet m exists iff ↓a ∩ ↓b is the principal
+    down-set ↓m, found by one lookup among the n principal down-sets.
+    """
+    downs = {mask | 1 << m: m for m, mask in enumerate(p._below)}
     out: set[str] = set()
-    n = len(p)
-    for a in range(n):
-        beq_a = p._below[a] | 1 << a
-        for b in range(a + 1, n):
-            lower = beq_a & (p._below[b] | 1 << b)
-            if not lower:
-                continue
-            m = p._unique_maximal(lower)
-            if m is not None and m != a and m != b:
+    for a in range(len(p)):
+        for b in _bits(p._incomparable_above(a)):
+            m = downs.get(p._below[a] & p._below[b])
+            if m is not None:
                 out.add(p._labels[m])
     return frozenset(out)
 

@@ -5,13 +5,17 @@ reachability. Both live as bitmasks over the sorted label list, so
 comparability, interval, and bound queries come down to word operations.
 Elements are identified by their labels and nothing else.
 
-Instances are immutable after construction and hashable; every query is
-read-only, so a poset can be shared freely between threads.
+Instances are immutable after construction and hashable. Derived tables
+(maximal chains, completeness, bridge edges, pruning reachability, ...)
+are computed on first use and kept in a per-instance memo, so they are
+freed with the poset. A poset can be shared between threads: two threads
+filling the same entry at once compute the same value twice.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+import functools
+from collections.abc import Callable, Iterable, Iterator
 
 from .errors import (
     CycleDetected,
@@ -31,6 +35,45 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _dfs_paths(start: int, succ: Callable[[int], int]) -> Iterator[list[int]]:
+    """Every path from ``start`` along the successor masks ``succ(i)``.
+
+    Depth first, lowest index first, each path yielded on arrival at its
+    last vertex (preorder), without recursion. The same list is yielded
+    every time; copy what you keep.
+    """
+    path = [start]
+    pending = [_bits(succ(start))]
+    yield path
+    while pending:
+        j = next(pending[-1], None)
+        if j is None:
+            pending.pop()
+            path.pop()
+            continue
+        path.append(j)
+        yield path
+        pending.append(_bits(succ(j)))
+
+
+def _memoized(fn):
+    """Cache ``fn(p, *args)`` in the memo of the poset ``p``.
+
+    The package's one caching mechanism: entries live and die with the
+    poset they describe. Cached values are shared, so they must be
+    immutable (tuples, frozensets) or copied by the caller.
+    """
+    @functools.wraps(fn)
+    def wrapper(p: Poset, *args):
+        key = (fn, *args)
+        try:
+            return p._memo[key]
+        except KeyError:
+            value = p._memo[key] = fn(p, *args)
+            return value
+    return wrapper
+
+
 class Poset:
     """An immutable finite poset.
 
@@ -42,7 +85,7 @@ class Poset:
     """
 
     __slots__ = ("_labels", "_index", "_above", "_below", "_ucov", "_dcov",
-                 "_hash", "_chains", "_cond")
+                 "_hash", "_memo")
 
     def __init__(self, labels: tuple[str, ...], above: tuple[int, ...]):
         n = len(labels)
@@ -66,8 +109,7 @@ class Poset:
                 dcov[j] |= 1 << i
         self._dcov = tuple(dcov)
         self._hash = None
-        self._chains = None
-        self._cond = None
+        self._memo: dict = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -306,25 +348,15 @@ class Poset:
         Maximal chains of a finite poset are exactly the saturated cover
         paths from a minimal to a maximal element.
         """
-        if self._chains is None:
-            out: list[tuple[str, ...]] = []
-            acc: list[int] = []
+        return list(self._maximal_chains())
 
-            def walk(i: int) -> None:
-                acc.append(i)
-                up = self._ucov[i]
-                if not up:
-                    out.append(tuple(self._labels[k] for k in acc))
-                else:
-                    for j in _bits(up):
-                        walk(j)
-                acc.pop()
-
-            for i in range(len(self._labels)):
-                if not self._below[i]:
-                    walk(i)
-            self._chains = out
-        return list(self._chains)
+    @_memoized
+    def _maximal_chains(self) -> tuple[tuple[str, ...], ...]:
+        ucov, labels = self._ucov, self._labels
+        return tuple(tuple(labels[k] for k in path)
+                     for i in range(len(labels)) if not self._below[i]
+                     for path in _dfs_paths(i, ucov.__getitem__)
+                     if not ucov[path[-1]])
 
     def maximal_chains_in_interval(self, x: str, y: str) -> list[tuple[str, ...]]:
         """All maximal chains of [x, y], ascending, lexicographic order.
@@ -339,20 +371,11 @@ class Poset:
         if ix == iy:
             return [(self._labels[ix],)]
         mask = self._interval_mask(ix, iy)
-        out: list[tuple[str, ...]] = []
-        acc: list[int] = []
-
-        def walk(i: int) -> None:
-            acc.append(i)
-            if i == iy:
-                out.append(tuple(self._labels[k] for k in acc))
-            else:
-                for j in _bits(self._ucov[i] & mask):
-                    walk(j)
-            acc.pop()
-
-        walk(ix)
-        return out
+        ucov = self._ucov
+        return [tuple(self._labels[k] for k in path)
+                for path in _dfs_paths(
+                    ix, lambda i: 0 if i == iy else ucov[i] & mask)
+                if path[-1] == iy]
 
     # ------------------------------------------------------------------
     # derived posets
@@ -418,28 +441,44 @@ class Poset:
         bot = self._unique_minimal(upper)
         return None if bot is None else self._labels[bot]
 
+    def _incomparable_above(self, a: int) -> int:
+        """Mask of the elements with a larger index than a, incomparable to a."""
+        return (((1 << len(self._labels)) - (2 << a))
+                & ~(self._above[a] | self._below[a]))
+
+    @_memoized
     def is_conditionally_complete(self) -> bool:
         """True iff bounded pairs have meets and joins.
 
         Every pair with a common lower bound must have a meet, and every
         pair with a common upper bound must have a join.
-        """
-        if self._cond is None:
-            self._cond = self._check_conditionally_complete()
-        return self._cond
 
-    def _check_conditionally_complete(self) -> bool:
-        n = len(self._labels)
-        for a in range(n):
-            beq_a = self._below[a] | 1 << a
-            aeq_a = self._above[a] | 1 << a
-            for b in range(a + 1, n):
-                lower = beq_a & (self._below[b] | 1 << b)
-                if lower and self._unique_maximal(lower) is None:
-                    return False
-                upper = aeq_a & (self._above[b] | 1 << b)
-                if upper and self._unique_minimal(upper) is None:
-                    return False
+        Comparable pairs always have both. For incomparable a, b the
+        common lower bounds ↓a ∩ ↓b form a down-set, and a down-set has a
+        maximum m iff it equals the principal down-set ↓m. Every set found
+        to have a maximum is remembered; there are only n principal
+        down-sets, so the maximum is searched at most n + 1 times and
+        every other pair costs one set lookup. Dually for joins. Pairs
+        are taken in index order, so the scan stops at the first bad pair
+        (sparse posets often fail within the first few). In a finite
+        poset the meet half implies the join half; testing both stops
+        the scan at whichever bad pair comes first.
+        """
+        below, above = self._below, self._above
+        principal_downs: set[int] = set()
+        principal_ups: set[int] = set()
+        for a in range(len(self._labels)):
+            for b in _bits(self._incomparable_above(a)):
+                lower = below[a] & below[b]
+                if lower and lower not in principal_downs:
+                    if self._unique_maximal(lower) is None:
+                        return False
+                    principal_downs.add(lower)
+                upper = above[a] & above[b]
+                if upper and upper not in principal_ups:
+                    if self._unique_minimal(upper) is None:
+                        return False
+                    principal_ups.add(upper)
         return True
 
     def is_filtered_upset(self, subset: Iterable[str]) -> bool:

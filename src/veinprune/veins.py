@@ -12,11 +12,10 @@ exposed through a ``mode`` switch so they can be played against each other.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from functools import lru_cache
 
 from .connectivity import SetFamily
 from .errors import EmptySet, TooLarge
-from .poset import Poset, _bits
+from .poset import Poset, _bits, _dfs_paths, _memoized
 
 _MODES = ("fast", "oracle")
 
@@ -26,7 +25,7 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def _maximal_chain_masks(p: Poset) -> tuple[int, ...]:
     return tuple(p._mask(chain) for chain in p.maximal_chains())
 
@@ -92,7 +91,7 @@ def is_vein(p: Poset, subset: Iterable[str]) -> bool:
 # bridge edges and the fast enumeration
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def _bridge_pairs_ix(p: Poset) -> frozenset[tuple[int, int]]:
     out = set()
     for i in range(len(p)):
@@ -112,7 +111,7 @@ def bridge_edges(p: Poset) -> frozenset[tuple[str, str]]:
                      for i, j in _bridge_pairs_ix(p))
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def _bridge_paths_ix(p: Poset) -> tuple[tuple[int, ...], ...]:
     """Maximal runs of consecutive bridge edges, as index tuples."""
     nxt = dict(_bridge_pairs_ix(p))
@@ -151,20 +150,9 @@ def strict_veins(p: Poset, mode: str = "fast") -> list[tuple[str, ...]]:
 
 def _saturated_paths_ix(p: Poset) -> list[tuple[int, ...]]:
     """Every cover path with at least two vertices."""
-    out: list[tuple[int, ...]] = []
-    acc: list[int] = []
-
-    def walk(i: int) -> None:
-        for j in _bits(p._ucov[i]):
-            acc.append(j)
-            out.append(tuple(acc))
-            walk(j)
-            acc.pop()
-
-    for start in range(len(p)):
-        acc = [start]
-        walk(start)
-    return out
+    return [tuple(path) for start in range(len(p))
+            for path in _dfs_paths(start, p._ucov.__getitem__)
+            if len(path) > 1]
 
 
 def maximal_veins(p: Poset) -> list[tuple[str, ...]]:
@@ -203,19 +191,8 @@ def all_chains(p: Poset, max_elements: int = 16) -> list[tuple[str, ...]]:
         raise TooLarge(
             f"{len(p)} elements exceed the chain-enumeration bound "
             f"{max_elements}")
-    out: list[tuple[int, ...]] = []
-    acc: list[int] = []
-
-    def extend(i: int) -> None:
-        acc.append(i)
-        out.append(tuple(acc))
-        for j in _bits(p._above[i]):
-            extend(j)
-        acc.pop()
-
-    for start in range(len(p)):
-        extend(start)
-    return sorted(tuple(p._labels[k] for k in seq) for seq in out)
+    return sorted(tuple(p._labels[k] for k in path) for start in range(len(p))
+                  for path in _dfs_paths(start, p._above.__getitem__))
 
 
 def irreducible_chain_family(p: Poset, max_elements: int = 16) -> SetFamily:

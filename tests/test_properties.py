@@ -10,20 +10,27 @@ from __future__ import annotations
 import string
 from itertools import combinations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import _reference as ref
 from veinprune import (
     Poset,
     bridge_edges,
+    coirreducibles,
+    doubly_irreducibles,
+    downset_lattice,
     irreducible_chain_family,
+    irreducibles,
     is_coirreducible,
     is_irreducible,
+    is_irreducible_via_meet,
     is_vein,
     iterate_prune,
     maximal_veins,
+    profiles,
     prune,
     pruning_leq,
+    pruning_witness,
     strict_veins,
     vein_family,
 )
@@ -41,6 +48,14 @@ def posets(draw, max_size=6):
     else:
         edges = []
     return Poset.from_relations(labels, edges)
+
+
+@st.composite
+def lattices(draw):
+    """Small down-set lattices: conditionally complete, unlike most draws
+    of :func:`posets`."""
+    return downset_lattice(draw(st.integers(min_value=1, max_value=3)),
+                           draw(st.integers(min_value=0, max_value=2**16)))
 
 
 @given(posets())
@@ -227,3 +242,59 @@ def test_reference_connectivity_of_vein_family_agrees(p):
     members = [set(v) for v in vein_family(p).members]
     assert ref.fam_is_connectivity_exhaustive(set(p.elements), members) == \
         vein_family(p).is_connectivity()
+
+
+# ----------------------------------------------------------------------
+# the cover-count, principal-set and greedy-ascent shortcuts against the
+# definitions they replace
+
+
+@given(posets(max_size=6))
+def test_cover_count_irreducibility_is_the_filter_definition(p):
+    twin = ref.mirror(p)
+    q = p.opposite()
+    prof = profiles(p)
+    for x in p.labels:
+        by_filter = p.is_filtered_upset(p.strict_upset(x))
+        by_co_filter = q.is_filtered_upset(q.strict_upset(x))
+        assert prof[x].irreducible == by_filter == twin.is_irreducible(x)
+        assert prof[x].coirreducible == by_co_filter == \
+            twin.is_coirreducible(x)
+    assert irreducibles(p) == tuple(x for x in p.labels
+                                    if twin.is_irreducible(x))
+    assert coirreducibles(p) == tuple(x for x in p.labels
+                                      if twin.is_coirreducible(x))
+    assert doubly_irreducibles(p) == frozenset(
+        x for x in p.labels
+        if twin.is_irreducible(x) and twin.is_coirreducible(x))
+
+
+@given(st.one_of(posets(max_size=7), lattices()))
+def test_principal_set_completeness_is_the_pairwise_definition(p):
+    twin = ref.mirror(p)
+    assert p.is_conditionally_complete() == twin.conditionally_complete()
+    if p.is_conditionally_complete():
+        for x in p.labels:
+            expressible = any(twin.meet(a, b) == x
+                              for a in p.labels for b in p.labels
+                              if x not in (a, b))
+            assert is_irreducible_via_meet(p, x) == (not expressible)
+            assert is_irreducible_via_meet(p, x) == twin.is_irreducible(x)
+
+
+@given(posets(max_size=6))
+# the lower cover q of p leads only into the bridge q < s: a dead branch
+@example(Poset.from_relations(
+    "pqrst", [("p", "q"), ("p", "r"), ("q", "s"), ("s", "t"), ("r", "t")]))
+def test_greedy_witness_is_the_oracle_witness(p):
+    twin = ref.mirror(p)
+    veins = twin.strict_veins()
+    height = {x: sum(twin.lt(z, x) for z in p.labels) for x in p.labels}
+    for x, y in p.relations():
+        fast = pruning_witness(p, x, y, mode="fast")
+        assert fast == pruning_witness(p, x, y, mode="oracle")
+        # the least clean maximal chain of [x, y], from the definitions
+        clean = [tuple(sorted(m, key=height.__getitem__))
+                 for m in twin.maximal_chains_in_interval(x, y)
+                 if not any(v <= m for v in veins)]
+        assert (fast.chain if fast else None) == min(clean, default=None)

@@ -1,0 +1,146 @@
+"""Scale tier: shapes that once made the fast route slow or crash.
+
+Long chains, a deep poset, a Boolean lattice, a ladder of diamonds ending
+in a bridge, and the empty document. Each test asserts its output and a
+wall-time bound several times the measured cost, so that a return to a
+super-linear (or exponential) layer fails here. Bounds may only be
+tightened.
+"""
+
+from __future__ import annotations
+
+import time
+
+import pytest
+
+from veinprune import (
+    Poset,
+    PosetDocument,
+    boolean_poset,
+    chain_poset,
+    emit_text,
+    pruning_witness,
+)
+from veinprune.cli import cli
+
+
+def _write(tmp_path, p: Poset | None, name: str) -> str:
+    doc = (PosetDocument(elements=[], covers=[]) if p is None
+           else PosetDocument.from_poset(p))
+    path = tmp_path / name
+    path.write_text(emit_text(doc))
+    return str(path)
+
+
+def _timed_cli(argv: list[str], capsys) -> tuple[int, str, float]:
+    started = time.perf_counter()
+    code = cli(argv)
+    elapsed = time.perf_counter() - started
+    return code, capsys.readouterr().out, elapsed
+
+
+def ladder(k: int) -> Poset:
+    """k diamonds stacked bottom to top, ending in one bridge edge to 't'."""
+    pairs = []
+    for i in range(1, k + 1):
+        for side in "lr":
+            pairs.append((f"b{i - 1:02d}", f"{side}{i:02d}"))
+            pairs.append((f"{side}{i:02d}", f"b{i:02d}"))
+    pairs.append((f"b{k:02d}", "t"))
+    return Poset.from_relations({x for pair in pairs for x in pair}, pairs)
+
+
+def deep(depth: int) -> Poset:
+    """A bowtie (a, b < c, d) under a chain of ``depth`` elements."""
+    chain = [f"e{i:04d}" for i in range(depth)]
+    pairs = [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
+             ("c", chain[0]), ("d", chain[0])]
+    pairs += list(zip(chain, chain[1:]))
+    return Poset.from_relations(["a", "b", "c", "d"] + chain, pairs)
+
+
+@pytest.fixture(scope="module")
+def chain1500_file(tmp_path_factory):
+    return _write(tmp_path_factory.mktemp("scale"), chain_poset(1500),
+                  "chain1500.txt")
+
+
+def test_irr_on_long_chain(chain1500_file, capsys):
+    code, out, elapsed = _timed_cli(["irr", chain1500_file], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 1 + 1500 + 1
+    # every element of a chain is doubly irreducible
+    assert all(line.split()[1:] == ["yes", "yes", "yes"]
+               for line in lines[1:-1])
+    assert lines[-1] == "preserved under pruning: yes"
+    assert elapsed < 10.0
+
+
+def test_dot_on_long_chain(chain1500_file, capsys):
+    code, out, elapsed = _timed_cli(["dot", chain1500_file], capsys)
+    assert code == 0
+    assert out.count(" -> ") == 1499
+    assert elapsed < 8.0
+
+
+def test_info_on_long_chain(chain1500_file, capsys):
+    code, out, elapsed = _timed_cli(["info", chain1500_file], capsys)
+    assert code == 0
+    assert f"strict relations: {1500 * 1499 // 2}" in out
+    assert "height: 1499" in out
+    assert "maximal chains: 1" in out
+    assert "conditionally complete: yes" in out
+    assert elapsed < 8.0
+
+
+def test_info_on_boolean_lattice(tmp_path, capsys):
+    path = _write(tmp_path, boolean_poset(9), "b9.txt")
+    code, out, elapsed = _timed_cli(["info", path], capsys)
+    assert code == 0
+    assert "elements: 512" in out
+    assert "maximal chains: 362880" in out
+    assert "conditionally complete: yes" in out
+    assert elapsed < 2.0
+
+
+def test_info_on_deep_poset(tmp_path, capsys):
+    path = _write(tmp_path, deep(1104), "deep.txt")
+    code, out, elapsed = _timed_cli(["info", path], capsys)
+    assert code == 0
+    assert "height: 1105" in out
+    assert "maximal chains: 4" in out
+    # the four chains are listed in full, without a RecursionError
+    assert sum(len(line.split()) == 1106 for line in out.splitlines()) == 4
+    assert "conditionally complete: no" in out
+    assert elapsed < 6.0
+
+
+def test_witnesses_on_diamond_ladder():
+    p = ladder(40)
+    started = time.perf_counter()
+    found = {(x, y): pruning_witness(p, x, y) for x, y in p.relations()}
+    elapsed = time.perf_counter() - started
+    # only the pairs ending at the top must cross the closing bridge
+    assert {pair for pair, w in found.items() if w is None} == \
+        {(x, "t") for x in p.labels if x != "t"}
+    w = found[("b00", "b40")]
+    assert w.chain == ("b00",) + sum(((f"l{i:02d}", f"b{i:02d}")
+                                       for i in range(1, 41)), ())
+    assert elapsed < 3.0
+
+
+@pytest.mark.parametrize("command", ["info", "irr"])
+def test_empty_document(tmp_path, capsys, command):
+    path = _write(tmp_path, None, "empty.txt")
+    code, out, elapsed = _timed_cli([command, path], capsys)
+    assert code == 0
+    if command == "info":
+        assert "elements: 0" in out.splitlines()
+        assert "height: 0" in out.splitlines()
+        assert "maximal chains: 0" in out.splitlines()
+    else:
+        assert out.splitlines() == [
+            "element  irreducible  coirreducible  doubly",
+            "preserved under pruning: yes"]
+    assert elapsed < 1.0
