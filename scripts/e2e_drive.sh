@@ -2,30 +2,37 @@
 set -euo pipefail
 cd "$(mktemp -d)"
 
+# grep -q for piped output, reading all of it first: grep -q alone may exit
+# before the writer is done, and the writer then fails on a broken pipe
+has() { local out; out=$(cat); grep -q -- "$1" <<<"$out"; }
+
 veinprune gen Yp > yp.txt
 veinprune gen boolean --size 3 > b3.txt
 veinprune gen random --size 9 --seed 11 --edge-prob 0.4 > r9.txt
 
-veinprune info yp.txt | grep -q "elements: 4"
-veinprune info b3.txt | grep -q "maximal chains: 6"
-veinprune veins yp.txt | grep -q "strict veins (1):"
-veinprune veins yp.txt | grep -q "  a b"
+veinprune info yp.txt | has "elements: 4"
+veinprune info b3.txt | has "maximal chains: 6"
+veinprune veins yp.txt | has "strict veins (1):"
+veinprune veins yp.txt | has "  a b"
+# the definition-level route prints what the fast route prints
+test "$(veinprune veins --mode oracle r9.txt)" = "$(veinprune veins r9.txt)"
+test "$(veinprune prune --mode oracle r9.txt)" = "$(veinprune prune r9.txt)"
 
 veinprune prune --format json --out yp_pruned.json yp.txt
-veinprune info yp_pruned.json | grep -q "cover pairs: 2"
+veinprune info yp_pruned.json | has "cover pairs: 2"
 
-veinprune iterate yp.txt | grep -q "fixpoint after 1 iteration"
-veinprune iterate r9.txt | grep -q "fixpoint after"
-veinprune irr b3.txt | grep -q "preserved under pruning: yes"
+veinprune iterate yp.txt | has "fixpoint after 1 iteration"
+veinprune iterate r9.txt | has "fixpoint after"
+veinprune irr b3.txt | has "preserved under pruning: yes"
 
 veinprune dot b3.txt > b3.dot
 grep -q "digraph poset" b3.dot
 test "$(veinprune dot b3.txt)" = "$(cat b3.dot)"
 
 # piping: prune Yp, then ask for veins of the result (none are strict)
-cat yp.txt | veinprune prune - | veinprune veins - | grep -q "strict veins: none"
+cat yp.txt | veinprune prune - | veinprune veins - | has "strict veins: none"
 
-VEINPRUNE_SEED=7 veinprune check --count 50 --max-size 9 | grep -q "checks passed (seed 7)"
+VEINPRUNE_SEED=7 veinprune check --count 50 --max-size 9 | has "checks passed (seed 7)"
 
 # error paths must exit 2
 printf 'b < a\na < b\n' > bad.txt
@@ -35,6 +42,11 @@ test "$rc" -eq 2
 rc=0; veinprune info /no/such/file 2>/dev/null || rc=$?
 test "$rc" -eq 2
 rc=0; veinprune gen chain --size 3 --edge-prob 0.5 >/dev/null 2>&1 || rc=$?
+test "$rc" -eq 2
+printf 'a < \xe9\n' > latin1.txt
+rc=0; veinprune info latin1.txt 2>/dev/null || rc=$?
+test "$rc" -eq 2
+rc=0; veinprune check --max-size 0 >/dev/null 2>&1 || rc=$?
 test "$rc" -eq 2
 
 echo "E2E DRIVE OK"

@@ -3,9 +3,10 @@
 The library half: build a :class:`Poset` from relation pairs, ask for its
 veins (irreducible convex chains), prune it (keep x below y only when some
 maximal chain of [x, y] dodges every strict vein), and profile which
-elements are irreducible. Every structural fact ships in two routes, a
-definition-level oracle and a fast cover-graph algorithm, selected with a
-``mode`` argument and played against each other by the property suite.
+elements are irreducible, all on the fast cover-graph route. The
+definition-level route lives apart in :mod:`veinprune.oracle`; the
+property suite holds the two equal, and ``mode="oracle"`` selects it in
+``strict_veins``, ``prune`` and ``iterate_prune`` (the CLI's ``--mode``).
 
 The tool half lives in :mod:`veinprune.cli` as the ``veinprune`` command.
 """
@@ -64,6 +65,7 @@ from .irreducibles import (
     preservation_report,
     profiles,
 )
+from .oracle import is_irreducible_chain
 from .poset import Poset
 from .pruning import (
     PruneIteration,
@@ -82,7 +84,6 @@ from .veins import (
     bridge_edges,
     check_covering_characterization,
     irreducible_chain_family,
-    is_irreducible_chain,
     is_vein,
     maximal_irreducible_chains,
     maximal_veins,

@@ -1,9 +1,10 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 property violation (a structural fact failed on
-some input, which should never happen), 2 input error. Diagnostics go to
-the error stream; document output goes to standard output so it can be
-piped back into other commands.
+some input, which should never happen), 2 input error (bad options, an
+unreadable, malformed or non-UTF-8 file, a cycle), 3 unexpected fault (a
+bug, reported in one line). Diagnostics go to the error stream; document
+output goes to standard output so it can be piped into other commands.
 """
 
 from __future__ import annotations
@@ -146,6 +147,11 @@ def _cmd_irr(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    if args.max_size < 1:
+        raise InvalidSpec(
+            f"--max-size must be at least 1, got {args.max_size}")
+    if args.count < 0:
+        raise InvalidSpec(f"--count must not be negative, got {args.count}")
     seed = args.seed if args.seed is not None else _env_seed()
     result = suite.run_suite(seed=seed, count=args.count,
                              max_size=args.max_size)
@@ -279,9 +285,12 @@ def cli(argv: list[str] | None = None) -> int:
     except InternalOrderViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (VeinpruneError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (VeinpruneError, OSError, UnicodeDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)  # input errors
         return 2
+    except Exception as exc:  # a bug, not a property violation
+        print(f"error: unexpected fault: {exc!r}", file=sys.stderr)
+        return 3
 
 
 def main() -> int:

@@ -19,7 +19,7 @@ to equal bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ParseError
 from .irreducibles import IrreducibilityProfile, profiles
@@ -28,30 +28,29 @@ from .poset import Poset
 
 @dataclass
 class PosetDocument:
-    """A poset in transit: sorted elements, sorted cover pairs, metadata."""
+    """A poset in transit: sorted elements, sorted cover pairs, metadata.
+
+    :meth:`from_poset`, and so every parser, keeps the poset for
+    :meth:`to_poset`; edit such a document and that poset is stale. A
+    document built field by field is validated on each :meth:`to_poset`.
+    """
 
     elements: list[str]
     covers: list[tuple[str, str]]
     name: str | None = None
-    comment: str | None = None
+    _poset: Poset | None = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     def to_poset(self) -> Poset:
+        if self._poset is not None:
+            return self._poset
         return Poset.from_relations(self.elements, self.covers)
 
     @classmethod
-    def from_poset(cls, p: Poset, name: str | None = None,
-                   comment: str | None = None) -> PosetDocument:
-        return cls(elements=sorted(p.labels),
-                   covers=[tuple(pair) for pair in p.covers],
-                   name=name, comment=comment)
-
-
-def _canonical(labels: list[str], pairs: list[tuple[str, str]],
-               name: str | None = None,
-               comment: str | None = None) -> PosetDocument:
-    # building the poset validates the input and reduces to covers
-    poset = Poset.from_relations(labels, pairs)
-    return PosetDocument.from_poset(poset, name=name, comment=comment)
+    def from_poset(cls, p: Poset, name: str | None = None) -> PosetDocument:
+        doc = cls(elements=list(p.labels), covers=list(p.covers), name=name)
+        doc._poset = p
+        return doc
 
 
 def _token_ok(label: str) -> bool:
@@ -87,7 +86,8 @@ def parse_text(text: str) -> PosetDocument:
                     f"an element declaration must be a single token, "
                     f"got {line!r}", lineno)
             labels.setdefault(line)
-    return _canonical(list(labels), pairs)
+    # building the poset validates the input and reduces to covers
+    return PosetDocument.from_poset(Poset.from_relations(labels, pairs))
 
 
 def emit_text(doc: PosetDocument) -> str:
@@ -99,8 +99,6 @@ def emit_text(doc: PosetDocument) -> str:
     lines = []
     if doc.name:
         lines.append(f"# {doc.name}")
-    if doc.comment:
-        lines.append(f"# {doc.comment}")
     touched = {lab for pair in doc.covers for lab in pair}
     for label in sorted(doc.elements):
         if label not in touched:
@@ -146,7 +144,8 @@ def parse_json(text: str) -> PosetDocument:
     name = obj.get("name")
     if name is not None and not isinstance(name, str):
         raise ParseError("'name' must be a string")
-    return _canonical(list(elements), covers, name=name)
+    return PosetDocument.from_poset(Poset.from_relations(elements, covers),
+                                    name=name)
 
 
 def emit_json(doc: PosetDocument) -> str:

@@ -124,7 +124,7 @@ class PreservationReport:
     preserved: bool
 
 
-def preservation_report(p: Poset, mode: str = "fast",
+def preservation_report(p: Poset,
                         allow_incomplete: bool = False) -> PreservationReport:
     """Compare irreducibility in p and in its pruning.
 
@@ -138,7 +138,7 @@ def preservation_report(p: Poset, mode: str = "fast",
     if not met and not allow_incomplete:
         raise NotConditionallyComplete(
             "preservation is only asserted for conditionally complete posets")
-    pruned = prune(p, mode).pruned
+    pruned = prune(p).pruned
     before = profiles(p)
     after = profiles(pruned)
     preserved = all(

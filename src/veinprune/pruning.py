@@ -10,8 +10,8 @@ The fast route deletes the bridge edges from the cover digraph and takes
 reachability: a maximal chain of [x, y] is a cover path from x to y, and
 it contains a strict vein exactly when two consecutive entries form a
 bridge edge. Witness chains come from a greedy ascent guided by that
-reachability. The oracle route enumerates interval chains and tests vein
-containment literally; both are exposed via ``mode``.
+reachability. The definition-level route lives in :mod:`veinprune.oracle`;
+``prune`` and ``iterate_prune`` reach it with ``mode="oracle"``.
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
+from . import oracle
 from .errors import InternalOrderViolation, PreconditionViolated
 from .poset import Poset, _bits, _memoized
-from .veins import _bridge_pairs_ix, _check_mode, strict_veins
+from .veins import _bridge_pairs_ix
 
 
 @dataclass(frozen=True)
@@ -59,11 +60,6 @@ class PruneIteration:
 
 
 @_memoized
-def _strict_vein_masks(p: Poset, mode: str) -> tuple[int, ...]:
-    return tuple(p._mask(v) for v in strict_veins(p, mode))
-
-
-@_memoized
 def _star_above(p: Poset) -> tuple[int, ...]:
     """Strict pruning-order reachability masks (the fast route)."""
     adj = list(p._ucov)
@@ -79,40 +75,8 @@ def _star_above(p: Poset) -> tuple[int, ...]:
     return tuple(above)
 
 
-def _first_clean_chain(p: Poset, ix: int, iy: int, mode: str) -> tuple[int, ...] | None:
-    """Lexicographically least maximal chain of [x, y] with no strict vein.
-
-    The oracle route searches the cover paths depth first, lowest index
-    first, and tests each against the strict veins literally.
-    """
-    if mode == "fast":
-        return _greedy_clean_chain(p, ix, iy)
-    mask = p._interval_mask(ix, iy)
-    veins = _strict_vein_masks(p, "oracle")
-    acc = [ix]
-
-    def walk(i: int) -> tuple[int, ...] | None:
-        if i == iy:
-            cm = 0
-            for k in acc:
-                cm |= 1 << k
-            for v in veins:
-                if not v & ~cm:
-                    return None
-            return tuple(acc)
-        for j in _bits(p._ucov[i] & mask):
-            acc.append(j)
-            got = walk(j)
-            acc.pop()
-            if got is not None:
-                return got
-        return None
-
-    return walk(ix)
-
-
 def _greedy_clean_chain(p: Poset, ix: int, iy: int) -> tuple[int, ...] | None:
-    """The fast route of :func:`_first_clean_chain`: a greedy ascent.
+    """Lexicographically least maximal chain of [x, y] with no strict vein.
 
     A clean chain exists iff y is reachable from x along non-bridge
     covers, which ``_star_above`` records. From each element the ascent
@@ -138,26 +102,16 @@ def _greedy_clean_chain(p: Poset, ix: int, iy: int) -> tuple[int, ...] | None:
     return tuple(chain)
 
 
-def pruning_leq(p: Poset, x: str, y: str, mode: str = "fast") -> bool:
+def pruning_leq(p: Poset, x: str, y: str) -> bool:
     """True iff x <=* y in the pruning order."""
-    _check_mode(mode)
     ix, iy = p._i(x), p._i(y)
-    if ix == iy:
-        return True
-    if not p._above[ix] >> iy & 1:
-        return False
-    if mode == "fast":
-        return bool(_star_above(p)[ix] >> iy & 1)
-    return _first_clean_chain(p, ix, iy, "oracle") is not None
+    return ix == iy or bool(_star_above(p)[ix] >> iy & 1)
 
 
-def pruning_witness(p: Poset, x: str, y: str, mode: str = "fast") -> PruneWitness | None:
+def pruning_witness(p: Poset, x: str, y: str) -> PruneWitness | None:
     """A witness chain for x <* y, or None when x = y or x <* y fails."""
-    _check_mode(mode)
-    ix, iy = p._i(x), p._i(y)
-    if ix == iy or not p._above[ix] >> iy & 1:
-        return None
-    seq = _first_clean_chain(p, ix, iy, mode)
+    # x <* x never holds, so the ascent finds no chain for x = y
+    seq = _greedy_clean_chain(p, p._i(x), p._i(y))
     if seq is None:
         return None
     return PruneWitness(x=x, y=y, chain=tuple(p._labels[k] for k in seq))
@@ -166,30 +120,26 @@ def pruning_witness(p: Poset, x: str, y: str, mode: str = "fast") -> PruneWitnes
 class _WitnessMap(Mapping):
     """Lazy map from strict pruned pairs to their witness chains."""
 
-    def __init__(self, poset: Poset, pairs: Iterable[tuple[str, str]], mode: str):
+    def __init__(self, poset: Poset, pairs: Iterable[tuple[str, str]]):
         self._poset = poset
-        self._pairs = tuple(pairs)
-        self._keys = frozenset(self._pairs)
-        self._mode = mode
-        self._cache: dict[tuple[str, str], PruneWitness] = {}
+        self._witnesses = dict.fromkeys(pairs)  # filled in on first lookup
 
     def __getitem__(self, key: tuple[str, str]) -> PruneWitness:
-        if key not in self._keys:
-            raise KeyError(key)
-        if key not in self._cache:
-            witness = pruning_witness(self._poset, key[0], key[1], self._mode)
+        witness = self._witnesses[key]
+        if witness is None:
+            witness = pruning_witness(self._poset, key[0], key[1])
             assert witness is not None  # key is a pruned strict pair
-            self._cache[key] = witness
-        return self._cache[key]
+            self._witnesses[key] = witness
+        return witness
 
     def __iter__(self):
-        return iter(self._pairs)
+        return iter(self._witnesses)
 
     def __len__(self) -> int:
-        return len(self._pairs)
+        return len(self._witnesses)
 
 
-def _validate_strict_order(p: Poset, above: list[int]) -> None:
+def _validate_strict_order(p: Poset, above: tuple[int, ...]) -> None:
     """Fail loudly unless the masks describe a strict partial order."""
     for i in range(len(above)):
         if above[i] >> i & 1:
@@ -211,21 +161,21 @@ def _validate_strict_order(p: Poset, above: list[int]) -> None:
 def prune(p: Poset, mode: str = "fast") -> PruneReport:
     """One pruning pass: the poset whose strict order is x <* y.
 
-    The computed relation is validated against the partial-order axioms
-    and InternalOrderViolation is raised on any breach.
+    ``fast`` deletes the bridge edges and takes reachability; ``oracle``
+    tests every strict pair through :mod:`veinprune.oracle`. Either way
+    the witnesses come from the greedy ascent, which finds the oracle's
+    chains. The computed relation is validated against the partial-order
+    axioms and InternalOrderViolation is raised on any breach.
     """
-    _check_mode(mode)
-    n = len(p)
     if mode == "fast":
-        star = list(_star_above(p))
+        star = _star_above(p)
+    elif mode == "oracle":
+        star = oracle._star_above(p)
     else:
-        star = [0] * n
-        for i in range(n):
-            for j in _bits(p._above[i]):
-                if _first_clean_chain(p, i, j, "oracle") is not None:
-                    star[i] |= 1 << j
+        raise ValueError(f"mode must be 'fast' or 'oracle', got {mode!r}")
+    n = len(p)
     _validate_strict_order(p, star)
-    pruned = Poset(p._labels, tuple(star))
+    pruned = Poset(p._labels, star)
     removed = (sum(m.bit_count() for m in p._above)
                - sum(m.bit_count() for m in star))
     pairs = sorted((p._labels[i], p._labels[j])
@@ -233,7 +183,7 @@ def prune(p: Poset, mode: str = "fast") -> PruneReport:
     return PruneReport(
         original=p,
         pruned=pruned,
-        witnesses=_WitnessMap(p, pairs, mode),
+        witnesses=_WitnessMap(p, pairs),
         removed_relations=removed,
         fixpoint_reached_after=0 if pruned == p else None,
     )
@@ -259,15 +209,13 @@ def iterate_prune(p: Poset, max_iters: int = 4, mode: str = "fast") -> PruneIter
 # lemma-level checks, used for regression testing the theory
 
 
-def star_chain_check(p: Poset, x: str, y: str, chain: Iterable[str],
-                     mode: str = "fast") -> bool:
+def star_chain_check(p: Poset, x: str, y: str, chain: Iterable[str]) -> bool:
     """A witness chain is itself a chain for the pruning order.
 
     Precondition: ``chain`` is a maximal chain of [x, y] containing no
     strict vein of the ambient poset (PreconditionViolated otherwise).
     Returns True iff every pair of its elements is pruning-comparable.
     """
-    _check_mode(mode)
     seq = p.as_chain(chain)
     ix, iy = p._i(x), p._i(y)
     if seq[0] != x or seq[-1] != y:
@@ -278,39 +226,31 @@ def star_chain_check(p: Poset, x: str, y: str, chain: Iterable[str],
             raise PreconditionViolated(
                 f"{a!r} < {b!r} is not a cover, so the chain is not "
                 "maximal in the interval")
-    if _contains_strict_vein(p, seq, mode):
+    # a cover path contains a strict vein iff it crosses a bridge edge
+    bridges = _bridge_pairs_ix(p)
+    if any((p._i(a), p._i(b)) in bridges for a, b in zip(seq, seq[1:])):
         raise PreconditionViolated(
             "the chain contains a strict vein of the ambient poset")
-    return all(pruning_leq(p, seq[i], seq[j], mode)
+    return all(pruning_leq(p, seq[i], seq[j])
                for i in range(len(seq)) for j in range(i + 1, len(seq)))
 
 
-def _contains_strict_vein(p: Poset, seq: tuple[str, ...], mode: str) -> bool:
-    if mode == "fast":
-        bridges = _bridge_pairs_ix(p)
-        return any((p._i(a), p._i(b)) in bridges
-                   for a, b in zip(seq, seq[1:]))
-    cm = p._mask(seq)
-    return any(not v & ~cm for v in _strict_vein_masks(p, "oracle"))
-
-
-def cover_inheritance_check(p: Poset, x: str, y: str, mode: str = "fast") -> bool:
+def cover_inheritance_check(p: Poset, x: str, y: str) -> bool:
     """Covers inside [x, y] inherit the pruning relation from x <* y.
 
     Precondition: x <* y with x != y (PreconditionViolated otherwise).
     Returns True iff x <* c for every cover c of x inside [x, y], and
     c <* y for every c covered by y inside [x, y].
     """
-    _check_mode(mode)
     ix, iy = p._i(x), p._i(y)
-    if ix == iy or not pruning_leq(p, x, y, mode):
+    if ix == iy or not pruning_leq(p, x, y):
         raise PreconditionViolated(
             f"{x!r} <* {y!r} with distinct endpoints is required")
     mask = p._interval_mask(ix, iy)
     for c in _bits(p._ucov[ix] & mask):
-        if not pruning_leq(p, x, p._labels[c], mode):
+        if not pruning_leq(p, x, p._labels[c]):
             return False
     for c in _bits(p._dcov[iy] & mask):
-        if not pruning_leq(p, p._labels[c], y, mode):
+        if not pruning_leq(p, p._labels[c], y):
             return False
     return True

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 
-from . import families, formats, pruning, veins
+from . import families, formats, oracle, pruning, veins
 from .errors import InternalOrderViolation, PreconditionViolated, TooLarge
 from .irreducibles import is_irreducible, is_irreducible_via_meet, preservation_report
 from .poset import Poset
@@ -166,8 +166,8 @@ def _vein_modes_agree(posets: list[Poset]) -> CheckOutcome:
     out = CheckOutcome("vein_modes_agree")
     for p in posets:
         out.checked += 1
-        fast = veins.strict_veins(p, mode="fast")
-        slow = veins.strict_veins(p, mode="oracle")
+        fast = veins.strict_veins(p)
+        slow = oracle.strict_veins(p)
         if fast != slow:
             _offend(out, p, f"fast strict veins {fast} != oracle {slow}")
     return out
@@ -176,26 +176,23 @@ def _vein_modes_agree(posets: list[Poset]) -> CheckOutcome:
 def _pruning_modes_agree(posets: list[Poset]) -> CheckOutcome:
     out = CheckOutcome("pruning_modes_agree")
     for p in posets:
-        for x in p.labels:
-            for y in p.labels:
-                out.checked += 1
-                fast = pruning.pruning_leq(p, x, y, mode="fast")
-                slow = pruning.pruning_leq(p, x, y, mode="oracle")
-                if fast != slow:
-                    _offend(out, p,
-                            f"modes disagree on ({x!r}, {y!r}): "
-                            f"fast={fast} oracle={slow}")
-                    break
-                wf = pruning.pruning_witness(p, x, y, mode="fast")
-                wo = pruning.pruning_witness(p, x, y, mode="oracle")
-                if wf != wo:
-                    _offend(out, p,
-                            f"witnesses disagree on ({x!r}, {y!r}): "
-                            f"fast={wf} oracle={wo}")
-                    break
-            else:
-                continue
-            break
+        for x, y in product(p.labels, repeat=2):
+            out.checked += 1
+            fast = pruning.pruning_leq(p, x, y)
+            slow = oracle.pruning_leq(p, x, y)
+            if fast != slow:
+                _offend(out, p,
+                        f"modes disagree on ({x!r}, {y!r}): "
+                        f"fast={fast} oracle={slow}")
+                break
+            w = pruning.pruning_witness(p, x, y)
+            wf = w.chain if w else None
+            wo = oracle.clean_chain(p, x, y)
+            if wf != wo:
+                _offend(out, p,
+                        f"witnesses disagree on ({x!r}, {y!r}): "
+                        f"fast={wf} oracle={wo}")
+                break
     return out
 
 

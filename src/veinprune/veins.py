@@ -4,42 +4,20 @@ A chain C is irreducible when every maximal chain meeting C contains C;
 a vein is an irreducible convex chain. Two-element veins coincide with
 bridge edges of the cover digraph (cover pairs (x, y) where y is the only
 upper cover of x and x the only lower cover of y), and longer veins are
-exactly the saturated runs of consecutive bridge edges. That gives a fast
-enumeration; the definition-level oracle is kept alongside, and both are
-exposed through a ``mode`` switch so they can be played against each other.
+exactly the saturated runs of consecutive bridge edges. That gives the
+fast enumeration here. The definition-level route lives in
+:mod:`veinprune.oracle`; ``strict_veins(p, mode="oracle")`` reaches it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
+from . import oracle
 from .connectivity import SetFamily
 from .errors import EmptySet, TooLarge
-from .poset import Poset, _bits, _dfs_paths, _memoized
-
-_MODES = ("fast", "oracle")
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-
-
-@_memoized
-def _maximal_chain_masks(p: Poset) -> tuple[int, ...]:
-    return tuple(p._mask(chain) for chain in p.maximal_chains())
-
-
-def is_irreducible_chain(p: Poset, subset: Iterable[str]) -> bool:
-    """True iff every maximal chain meeting the chain contains it.
-
-    The subset must be a nonempty chain (NotAChain / EmptySet otherwise).
-    """
-    cm = p._mask(p.as_chain(subset))
-    for m in _maximal_chain_masks(p):
-        if cm & m and cm & ~m:
-            return False
-    return True
+from .oracle import _maximal_chain_masks, is_irreducible_chain
+from .poset import Poset, _dfs_paths, _memoized
 
 
 def check_covering_characterization(p: Poset, subset: Iterable[str],
@@ -128,31 +106,20 @@ def _bridge_paths_ix(p: Poset) -> tuple[tuple[int, ...], ...]:
 def strict_veins(p: Poset, mode: str = "fast") -> list[tuple[str, ...]]:
     """All veins with at least two elements, ascending, sorted.
 
-    ``fast`` reads them off the bridge-edge paths; ``oracle`` filters every
-    saturated cover path through the convexity and irreducibility
-    definitions. The two must agree on every finite poset.
+    ``fast`` reads them off the bridge-edge paths; ``oracle`` returns
+    :func:`veinprune.oracle.strict_veins`, which filters cover paths
+    through the definitions. The two agree on every finite poset.
     """
-    _check_mode(mode)
-    if mode == "fast":
-        out = []
-        for path in _bridge_paths_ix(p):
-            for lo in range(len(path)):
-                for hi in range(lo + 2, len(path) + 1):
-                    out.append(tuple(p._labels[k] for k in path[lo:hi]))
-        return sorted(out)
-    veins = []
-    for seq in _saturated_paths_ix(p):
-        labels = tuple(p._labels[k] for k in seq)
-        if p.is_convex(labels) and is_irreducible_chain(p, labels):
-            veins.append(labels)
-    return sorted(veins)
-
-
-def _saturated_paths_ix(p: Poset) -> list[tuple[int, ...]]:
-    """Every cover path with at least two vertices."""
-    return [tuple(path) for start in range(len(p))
-            for path in _dfs_paths(start, p._ucov.__getitem__)
-            if len(path) > 1]
+    if mode == "oracle":
+        return oracle.strict_veins(p)
+    if mode != "fast":
+        raise ValueError(f"mode must be 'fast' or 'oracle', got {mode!r}")
+    out = []
+    for path in _bridge_paths_ix(p):
+        for lo in range(len(path)):
+            for hi in range(lo + 2, len(path) + 1):
+                out.append(tuple(p._labels[k] for k in path[lo:hi]))
+    return sorted(out)
 
 
 def maximal_veins(p: Poset) -> list[tuple[str, ...]]:
@@ -178,10 +145,10 @@ def maximal_veins(p: Poset) -> list[tuple[str, ...]]:
 # families, for the connectivity facts
 
 
-def vein_family(p: Poset, mode: str = "fast") -> SetFamily:
+def vein_family(p: Poset) -> SetFamily:
     """Every vein of the poset: all singletons plus the strict veins."""
     members: list[tuple[str, ...]] = [(x,) for x in p.labels]
-    members.extend(strict_veins(p, mode))
+    members.extend(strict_veins(p))
     return SetFamily(p.labels, members)
 
 

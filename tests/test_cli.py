@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+import veinprune.cli
+from veinprune import PosetDocument, emit_text, fixtures
 from veinprune.cli import cli
 
 YP_TEXT = "a < b\nb < c\nb < d\n"
@@ -51,6 +53,40 @@ def test_veins(yp_file, capsys):
 def test_veins_oracle_mode(yp_file, capsys):
     assert cli(["veins", "--mode", "oracle", yp_file]) == 0
     assert "a b" in capsys.readouterr().out
+
+
+@pytest.fixture
+def route_files(tmp_path, capsys):
+    """The fixtures and three random 9-element posets, as text files."""
+    texts = {name: emit_text(PosetDocument.from_poset(p))
+             for name, p in fixtures().items()}
+    for seed in range(3):
+        assert cli(["gen", "random", "--size", "9", "--seed", str(seed)]) == 0
+        texts[f"random{seed}"] = capsys.readouterr().out
+    paths = []
+    for name, text in texts.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text)
+        paths.append(str(path))
+    return paths
+
+
+def _run(argv, capsys) -> str:
+    assert cli(argv) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["veins"], ["prune"],
+                                  ["prune", "--format", "json"], ["iterate"]])
+def test_oracle_mode_prints_what_fast_prints(argv, route_files, capsys):
+    for path in route_files:
+        fast = _run(argv + [path], capsys)
+        assert _run(argv + ["--mode", "oracle", path], capsys) == fast
+
+
+def test_unknown_mode_is_input_error(yp_file, capsys):
+    assert cli(["prune", "--mode", "quick", yp_file]) == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_prune_text(yp_file, capsys):
@@ -136,6 +172,13 @@ def test_check_env_seed_invalid(monkeypatch, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["--max-size", "0"], ["--count", "-1"]])
+def test_check_rejects_bad_sizes(argv, capsys):
+    assert cli(["check"] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --") and err.count("\n") == 1
+
+
 def test_gen_fixture(capsys):
     assert cli(["gen", "Yp"]) == 0
     assert capsys.readouterr().out == "# Yp\na < b\nb < c\nb < d\n"
@@ -180,6 +223,22 @@ def test_cycle_is_input_error(tmp_path, capsys):
 def test_missing_file(capsys):
     assert cli(["info", "/no/such/file.txt"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_non_utf8_file_is_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("a < \u00e9\n".encode("latin-1"))
+    assert cli(["info", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "'utf-8' codec can't decode" in err and err.count("\n") == 1
+
+
+def test_unexpected_fault_exits_3(yp_file, monkeypatch, capsys):
+    def boom(args):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(veinprune.cli, "_cmd_info", boom)
+    assert cli(["info", yp_file]) == 3
+    assert capsys.readouterr().err == "error: unexpected fault: RuntimeError('boom')\n"
 
 
 def test_unknown_command(capsys):

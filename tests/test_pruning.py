@@ -9,6 +9,7 @@ from veinprune import (
     antichain_poset,
     cover_inheritance_check,
     iterate_prune,
+    oracle,
     prune,
     pruning_leq,
     pruning_witness,
@@ -18,15 +19,15 @@ from veinprune import (
 
 
 def test_pruning_leq_fixtures(c3, yp, b3):
-    for mode in ("fast", "oracle"):
-        assert pruning_leq(yp, "b", "c", mode=mode)
-        assert pruning_leq(yp, "b", "d", mode=mode)
-        assert not pruning_leq(yp, "a", "b", mode=mode)
-        assert not pruning_leq(yp, "a", "c", mode=mode)
-        assert not pruning_leq(c3, "a", "c", mode=mode)
-        assert not pruning_leq(c3, "a", "b", mode=mode)
-        assert pruning_leq(b3, "{}", "{1,2}", mode=mode)
-        assert pruning_leq(b3, "{}", "{1,2,3}", mode=mode)
+    for leq in (pruning_leq, oracle.pruning_leq):
+        assert leq(yp, "b", "c")
+        assert leq(yp, "b", "d")
+        assert not leq(yp, "a", "b")
+        assert not leq(yp, "a", "c")
+        assert not leq(c3, "a", "c")
+        assert not leq(c3, "a", "b")
+        assert leq(b3, "{}", "{1,2}")
+        assert leq(b3, "{}", "{1,2,3}")
 
 
 def test_pruning_leq_reflexive_and_bounded(fx):
@@ -75,8 +76,8 @@ def test_witness_agrees_across_modes(fx):
     for p in fx.values():
         for x in p.elements:
             for y in p.elements:
-                assert pruning_witness(p, x, y, mode="fast") == \
-                    pruning_witness(p, x, y, mode="oracle")
+                w = pruning_witness(p, x, y)
+                assert (w.chain if w else None) == oracle.clean_chain(p, x, y)
 
 
 def test_prune_c3(c3):
