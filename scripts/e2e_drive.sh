@@ -9,6 +9,8 @@ has() { local out; out=$(cat); grep -q -- "$1" <<<"$out"; }
 veinprune gen Yp > yp.txt
 veinprune gen boolean --size 3 > b3.txt
 veinprune gen random --size 9 --seed 11 --edge-prob 0.4 > r9.txt
+# a reader that stops early is no error (pipefail sees veinprune's code)
+veinprune gen chain --size 20000 | head -n 1 | has "e00000 < e00001"
 
 veinprune info yp.txt | has "elements: 4"
 veinprune info b3.txt | has "maximal chains: 6"

@@ -5,6 +5,8 @@ some input, which should never happen), 2 input error (bad options, an
 unreadable, malformed or non-UTF-8 file, a cycle), 3 unexpected fault (a
 bug, reported in one line). Diagnostics go to the error stream; document
 output goes to standard output so it can be piped into other commands.
+When the reader of standard output stops early (``veinprune gen chain
+--size 20000 | head -n 1``), the command ends quietly with exit 0.
 """
 
 from __future__ import annotations
@@ -285,6 +287,8 @@ def cli(argv: list[str] | None = None) -> int:
     except InternalOrderViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:  # the reader stopped reading: not an error
+        return 0
     except (VeinpruneError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)  # input errors
         return 2
@@ -294,7 +298,16 @@ def cli(argv: list[str] | None = None) -> int:
 
 
 def main() -> int:
-    return cli(sys.argv[1:])
+    code = cli(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # point the descriptor at the null device, so that the flush at
+        # interpreter exit finds no closed pipe to complain about
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ filling the same entry at once compute the same value twice.
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     CycleDetected,
@@ -74,39 +74,97 @@ def _memoized(fn):
     return wrapper
 
 
+def _successors_first(labels: tuple[str, ...],
+                      adj: Sequence[int]) -> list[int]:
+    """Every index once, each after all its successors along ``adj``.
+
+    Depth-first postorder, without recursion. Raises CycleDetected with a
+    witness cycle when ``adj`` has one. An element without successors is
+    finished as soon as it is reached.
+    """
+    n = len(labels)
+    color = [0] * n  # 0 new, 1 on the DFS path, 2 finished
+    post: list[int] = []
+    for root in range(n):
+        if color[root]:
+            continue
+        if not adj[root]:
+            color[root] = 2
+            post.append(root)
+            continue
+        color[root] = 1
+        path = [root]
+        pending = [_bits(adj[root])]
+        while pending:
+            j = next(pending[-1], None)
+            if j is None:
+                pending.pop()
+                done = path.pop()
+                color[done] = 2
+                post.append(done)
+            elif not color[j]:
+                if adj[j]:
+                    color[j] = 1
+                    path.append(j)
+                    pending.append(_bits(adj[j]))
+                else:
+                    color[j] = 2
+                    post.append(j)
+            elif color[j] == 1:
+                at = path.index(j)
+                cycle = [labels[k] for k in path[at:]] + [labels[j]]
+                raise CycleDetected(tuple(cycle))
+    return post
+
+
 class Poset:
     """An immutable finite poset.
 
-    The constructor trusts its arguments: ``labels`` must be sorted and
-    ``above[i]`` must be the bitmask of elements strictly greater than
-    element i under an irreflexive, transitive, antisymmetric relation.
-    Use :meth:`from_relations` to build a poset from raw relation pairs
-    with full validation.
+    The constructor takes sorted ``labels`` and an acyclic adjacency:
+    ``adj[i]`` is a bitmask of elements above element i, and the order is
+    the transitive closure of these edges. Any generating set works: the
+    cover pairs, the full strict order, or anything in between. Cycles
+    raise CycleDetected. Use :meth:`from_relations` to build a poset from
+    labelled relation pairs with full validation.
     """
 
     __slots__ = ("_labels", "_index", "_above", "_below", "_ucov", "_dcov",
                  "_hash", "_memo")
 
-    def __init__(self, labels: tuple[str, ...], above: tuple[int, ...]):
+    def __init__(self, labels: tuple[str, ...], adj: Sequence[int]):
+        """Close ``adj`` into the order in O(n + edges) mask operations.
+
+        In successors-first order, ``above[i]`` is the union of {j} and
+        ``above[j]`` over the edges i -> j. Every cover is an input edge:
+        a relation with no element between its ends is not the end of a
+        path of two or more edges. An edge i -> j is a cover unless j lies
+        above another successor of i. A second pass, bottom-up, fills the lower
+        covers and closes ``below`` along them: each element is complete
+        before it is pushed into its upper covers.
+        """
         n = len(labels)
         self._labels = tuple(labels)
         self._index = {lab: i for i, lab in enumerate(self._labels)}
-        self._above = tuple(above)
-        below = [0] * n
-        ucov = []
-        for i in range(n):
-            redundant = 0
-            for j in _bits(above[i]):
-                below[j] |= 1 << i
+        order = _successors_first(self._labels, adj)
+        above = [0] * n
+        ucov = [0] * n
+        for i in order:
+            redundant = 0  # everything above a successor of i
+            for j in _bits(adj[i]):
                 redundant |= above[j]
-            # covers of i: strictly above i but not above anything above i
-            ucov.append(above[i] & ~redundant)
+            above[i] = adj[i] | redundant
+            ucov[i] = adj[i] & ~redundant
+        below = [0] * n
+        dcov = [0] * n
+        for i in reversed(order):
+            bit = 1 << i
+            down = below[i] | bit
+            for j in _bits(ucov[i]):
+                dcov[j] |= bit
+                below[j] |= down
+        self._above = tuple(above)
         self._below = tuple(below)
         self._ucov = tuple(ucov)
-        dcov = [0] * n
-        for i in range(n):
-            for j in _bits(ucov[i]):
-                dcov[j] |= 1 << i
         self._dcov = tuple(dcov)
         self._hash = None
         self._memo: dict = {}
@@ -142,44 +200,7 @@ class Poset:
             if ia == ib:
                 raise CycleDetected((a, a))
             adj[ia] |= 1 << ib
-        return cls(sorted_labels, cls._close(sorted_labels, adj))
-
-    @staticmethod
-    def _close(labels: tuple[str, ...], adj: list[int]) -> tuple[int, ...]:
-        """Transitive closure of an adjacency mask list, rejecting cycles."""
-        n = len(labels)
-        color = [0] * n  # 0 new, 1 on the DFS path, 2 finished
-        post: list[int] = []
-        for root in range(n):
-            if color[root]:
-                continue
-            color[root] = 1
-            path = [root]
-            iters = [_bits(adj[root])]
-            while iters:
-                try:
-                    j = next(iters[-1])
-                except StopIteration:
-                    done = path.pop()
-                    iters.pop()
-                    color[done] = 2
-                    post.append(done)
-                    continue
-                if color[j] == 1:
-                    at = path.index(j)
-                    cycle = [labels[k] for k in path[at:]] + [labels[j]]
-                    raise CycleDetected(tuple(cycle))
-                if color[j] == 0:
-                    color[j] = 1
-                    path.append(j)
-                    iters.append(_bits(adj[j]))
-        above = [0] * n
-        for i in post:  # descendants are finished before their ancestors
-            acc = 0
-            for j in _bits(adj[i]):
-                acc |= (1 << j) | above[j]
-            above[i] = acc
-        return tuple(above)
+        return cls(sorted_labels, adj)
 
     # ------------------------------------------------------------------
     # basic views
@@ -399,7 +420,7 @@ class Poset:
 
     def opposite(self) -> Poset:
         """The dual poset: same elements, order reversed."""
-        return Poset(self._labels, self._below)
+        return Poset(self._labels, self._dcov)
 
     # ------------------------------------------------------------------
     # bounds
@@ -462,13 +483,19 @@ class Poset:
         are taken in index order, so the scan stops at the first bad pair
         (sparse posets often fail within the first few). In a finite
         poset the meet half implies the join half; testing both stops
-        the scan at whichever bad pair comes first.
+        the scan at whichever bad pair comes first. An element with
+        nothing below and nothing above it shares no bound with anything,
+        so pairs containing it are skipped; a wide antichain costs O(n).
         """
         below, above = self._below, self._above
+        bounded = 0
+        for i, (down, up) in enumerate(zip(below, above)):
+            if down or up:
+                bounded |= 1 << i
         principal_downs: set[int] = set()
         principal_ups: set[int] = set()
-        for a in range(len(self._labels)):
-            for b in _bits(self._incomparable_above(a)):
+        for a in _bits(bounded):
+            for b in _bits(self._incomparable_above(a) & bounded):
                 lower = below[a] & below[b]
                 if lower and lower not in principal_downs:
                     if self._unique_maximal(lower) is None:

@@ -12,11 +12,16 @@ it contains a strict vein exactly when two consecutive entries form a
 bridge edge. Witness chains come from a greedy ascent guided by that
 reachability. The definition-level route lives in :mod:`veinprune.oracle`;
 ``prune`` and ``iterate_prune`` reach it with ``mode="oracle"``.
+
+Every pass validates its relation in O(n + edges) mask operations: it
+must lie inside the order of the poset and be generated by its edges (the
+non-bridge covers, or the relation itself for the oracle), which makes it
+a strict partial order; see :func:`_validate_strict_order`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 from . import oracle
@@ -59,20 +64,23 @@ class PruneIteration:
     fixpoint_index: int | None
 
 
-@_memoized
-def _star_above(p: Poset) -> tuple[int, ...]:
-    """Strict pruning-order reachability masks (the fast route)."""
+def _non_bridge_covers(p: Poset) -> list[int]:
+    """The cover masks with every bridge edge deleted."""
     adj = list(p._ucov)
     for i, j in _bridge_pairs_ix(p):
         adj[i] &= ~(1 << j)
-    above = [0] * len(p)
-    # maximal elements first, so successors are finished before their sources
-    for i in sorted(range(len(p)), key=lambda k: p._above[k].bit_count()):
-        acc = 0
-        for j in _bits(adj[i]):
-            acc |= (1 << j) | above[j]
-        above[i] = acc
-    return tuple(above)
+    return adj
+
+
+@_memoized
+def _pruned(p: Poset) -> Poset:
+    """The pruned poset of the fast route, closed from the non-bridge covers."""
+    return Poset(p._labels, _non_bridge_covers(p))
+
+
+def _star_above(p: Poset) -> tuple[int, ...]:
+    """Strict pruning-order reachability masks (the fast route)."""
+    return _pruned(p)._above
 
 
 def _greedy_clean_chain(p: Poset, ix: int, iy: int) -> tuple[int, ...] | None:
@@ -118,14 +126,28 @@ def pruning_witness(p: Poset, x: str, y: str) -> PruneWitness | None:
 
 
 class _WitnessMap(Mapping):
-    """Lazy map from strict pruned pairs to their witness chains."""
+    """Lazy map from strict pruned pairs to their witness chains.
 
-    def __init__(self, poset: Poset, pairs: Iterable[tuple[str, str]]):
+    Size and membership are read from the pruning masks ``star``; the
+    sorted key list is built only when the map is iterated.
+    """
+
+    def __init__(self, poset: Poset, star: tuple[int, ...]):
         self._poset = poset
-        self._witnesses = dict.fromkeys(pairs)  # filled in on first lookup
+        self._star = star
+        self._witnesses: dict[tuple[str, str], PruneWitness] = {}
+
+    def __contains__(self, key) -> bool:
+        index = self._poset._index
+        if not (isinstance(key, tuple) and len(key) == 2
+                and key[0] in index and key[1] in index):
+            return False
+        return bool(self._star[index[key[0]]] >> index[key[1]] & 1)
 
     def __getitem__(self, key: tuple[str, str]) -> PruneWitness:
-        witness = self._witnesses[key]
+        if key not in self:
+            raise KeyError(key)
+        witness = self._witnesses.get(key)
         if witness is None:
             witness = pruning_witness(self._poset, key[0], key[1])
             assert witness is not None  # key is a pruned strict pair
@@ -133,29 +155,104 @@ class _WitnessMap(Mapping):
         return witness
 
     def __iter__(self):
-        return iter(self._witnesses)
+        labels = self._poset._labels
+        return iter(sorted((labels[i], labels[j])
+                           for i, row in enumerate(self._star)
+                           for j in _bits(row)))
 
     def __len__(self) -> int:
-        return len(self._witnesses)
+        return sum(row.bit_count() for row in self._star)
 
 
-def _validate_strict_order(p: Poset, above: tuple[int, ...]) -> None:
-    """Fail loudly unless the masks describe a strict partial order."""
-    for i in range(len(above)):
-        if above[i] >> i & 1:
-            raise InternalOrderViolation(
-                f"pruning produced a reflexive strict pair at {p._labels[i]!r}")
-        for j in _bits(above[i]):
-            if above[j] >> i & 1:
+def _validate_strict_order(p: Poset, star: tuple[int, ...],
+                           gen: Sequence[int]) -> None:
+    """Fail loudly unless ``star`` is a strict partial order.
+
+    ``star[i]`` is the mask of elements pruning-above element i, and
+    ``gen`` is a set of edges that should generate it. Two checks, in
+    O(n + edges) mask operations, raise InternalOrderViolation:
+
+    1. ``star[i]`` is a subset of ``p._above[i]``. The order of p is
+       irreflexive and acyclic, so star is too.
+    2. ``star[i]`` equals the union of {g} and ``star[g]`` over g in
+       ``gen[i]``. Given 1, star is then transitive: star[j] lies within
+       star[i] for every j in star[i]. By induction on i from the top of
+       p (a maximal i has empty star[i]): j lies in {g} or star[g] for
+       some g in gen[i], and star[g] is within star[i] by 2. If j = g
+       that is the claim. Otherwise g, which lies in star[i] by 2, is
+       above i in p by 1, so star[j] is within star[g] by induction.
+
+    The oracle route passes ``gen = star``, which makes 2 the plain
+    transitivity test.
+    """
+    labels = p._labels
+    for i, (row, above) in enumerate(zip(star, p._above)):
+        if row & ~above:
+            j = next(_bits(row & ~above))
+            if j == i:
                 raise InternalOrderViolation(
-                    "pruning broke antisymmetry between "
-                    f"{p._labels[i]!r} and {p._labels[j]!r}")
-            if above[j] & ~above[i]:
-                k = next(_bits(above[j] & ~above[i]))
+                    f"pruning produced a reflexive strict pair at {labels[i]!r}")
+            raise InternalOrderViolation(
+                f"pruning produced {labels[i]!r} <* {labels[j]!r}, "
+                "which the poset lacks")
+    for i, row in enumerate(star):
+        acc = gen[i]
+        for g in _bits(gen[i]):
+            acc |= star[g]
+        if acc == row:
+            continue
+        for g in _bits(gen[i]):
+            k = next(_bits(((1 << g) | star[g]) & ~row), None)
+            if k == g:
+                raise InternalOrderViolation(
+                    "pruning dropped its generating pair "
+                    f"{labels[i]!r} <* {labels[g]!r}")
+            if k is not None:
                 raise InternalOrderViolation(
                     "pruning broke transitivity: "
-                    f"{p._labels[i]!r} <* {p._labels[j]!r} <* {p._labels[k]!r} "
-                    f"but not {p._labels[i]!r} <* {p._labels[k]!r}")
+                    f"{labels[i]!r} <* {labels[g]!r} <* {labels[k]!r} "
+                    f"but not {labels[i]!r} <* {labels[k]!r}")
+        k = next(_bits(row & ~acc))
+        raise InternalOrderViolation(
+            f"pruning produced {labels[i]!r} <* {labels[k]!r}, "
+            "which its generating pairs do not imply")
+
+
+_Route = Callable[[Poset], tuple[tuple[int, ...], Sequence[int]]]
+
+
+def _fast_route(p: Poset) -> tuple[tuple[int, ...], list[int]]:
+    return _star_above(p), _non_bridge_covers(p)
+
+
+def _oracle_route(p: Poset) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    star = oracle._star_above(p)
+    return star, star
+
+
+def _route(mode: str) -> _Route:
+    """The route behind a ``mode`` name: p to (star, generating edges)."""
+    if mode == "fast":
+        return _fast_route
+    if mode == "oracle":
+        return _oracle_route
+    raise ValueError(f"mode must be 'fast' or 'oracle', got {mode!r}")
+
+
+def _prune(p: Poset, route: _Route) -> PruneReport:
+    star, gen = route(p)
+    _validate_strict_order(p, star, gen)
+    # the fast route's poset is already built: star is its order
+    pruned = _pruned(p) if route is _fast_route else Poset(p._labels, gen)
+    removed = (sum(m.bit_count() for m in p._above)
+               - sum(m.bit_count() for m in star))
+    return PruneReport(
+        original=p,
+        pruned=pruned,
+        witnesses=_WitnessMap(p, star),
+        removed_relations=removed,
+        fixpoint_reached_after=0 if pruned == p else None,
+    )
 
 
 def prune(p: Poset, mode: str = "fast") -> PruneReport:
@@ -164,29 +261,11 @@ def prune(p: Poset, mode: str = "fast") -> PruneReport:
     ``fast`` deletes the bridge edges and takes reachability; ``oracle``
     tests every strict pair through :mod:`veinprune.oracle`. Either way
     the witnesses come from the greedy ascent, which finds the oracle's
-    chains. The computed relation is validated against the partial-order
-    axioms and InternalOrderViolation is raised on any breach.
+    chains. The computed relation is validated as a strict partial order
+    and InternalOrderViolation is raised on any breach. The fast route's
+    pruned poset is built once per poset, from the non-bridge covers.
     """
-    if mode == "fast":
-        star = _star_above(p)
-    elif mode == "oracle":
-        star = oracle._star_above(p)
-    else:
-        raise ValueError(f"mode must be 'fast' or 'oracle', got {mode!r}")
-    n = len(p)
-    _validate_strict_order(p, star)
-    pruned = Poset(p._labels, star)
-    removed = (sum(m.bit_count() for m in p._above)
-               - sum(m.bit_count() for m in star))
-    pairs = sorted((p._labels[i], p._labels[j])
-                   for i in range(n) for j in _bits(star[i]))
-    return PruneReport(
-        original=p,
-        pruned=pruned,
-        witnesses=_WitnessMap(p, pairs),
-        removed_relations=removed,
-        fixpoint_reached_after=0 if pruned == p else None,
-    )
+    return _prune(p, _route(mode))
 
 
 def iterate_prune(p: Poset, max_iters: int = 4, mode: str = "fast") -> PruneIteration:
@@ -195,10 +274,12 @@ def iterate_prune(p: Poset, max_iters: int = 4, mode: str = "fast") -> PruneIter
     Returns the whole sequence including the repeated entry, plus the
     index of the first poset equal to its successor (None when the cap
     ``max_iters`` was hit first). Finite posets stabilize at index 0 or 1.
+    An unknown ``mode`` raises ValueError even when ``max_iters`` is 0.
     """
+    route = _route(mode)
     seq = [p]
     for _ in range(max_iters):
-        nxt = prune(seq[-1], mode).pruned
+        nxt = _prune(seq[-1], route).pruned
         seq.append(nxt)
         if nxt == seq[-2]:
             return PruneIteration(posets=seq, fixpoint_index=len(seq) - 2)

@@ -1,10 +1,17 @@
 from __future__ import annotations
 
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import veinprune
 import veinprune.cli
+import veinprune.pruning
 from veinprune import PosetDocument, emit_text, fixtures
 from veinprune.cli import cli
 
@@ -239,6 +246,61 @@ def test_unexpected_fault_exits_3(yp_file, monkeypatch, capsys):
     monkeypatch.setattr(veinprune.cli, "_cmd_info", boom)
     assert cli(["info", yp_file]) == 3
     assert capsys.readouterr().err == "error: unexpected fault: RuntimeError('boom')\n"
+
+
+def test_invalid_pruning_order_is_a_property_violation(tmp_path, monkeypatch,
+                                                      capsys):
+    path = tmp_path / "diamond.txt"
+    path.write_text("a < b\na < c\nb < d\nc < d\n")
+    # a <* b <* d and a <* c <* d, but not a <* d
+    monkeypatch.setattr(veinprune.pruning, "_star_above",
+                        lambda p: (0b0110, 0b1000, 0b1000, 0b0000))
+    assert cli(["prune", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "broke transitivity" in err and err.count("\n") == 1
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_ends_quietly(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdout", _ClosedPipe())
+    assert cli(["gen", "chain", "--size", "20"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def _gen_chain(size: int, unbuffered: bool = False) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=str(Path(veinprune.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen(
+        [sys.executable, "-m", "veinprune.cli", "gen", "chain", "--size",
+         str(size)], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+
+
+def _finish(proc: subprocess.Popen) -> tuple[int, bytes]:
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return proc.wait(timeout=60), err
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_reader_stopping_early_is_not_an_error(unbuffered):
+    proc = _gen_chain(20000, unbuffered)
+    assert proc.stdout.readline() == b"e00000 < e00001\n"
+    proc.stdout.close()  # the reader stops; the writer has far more to say
+    assert _finish(proc) == (0, b"")
+
+
+def test_reader_gone_before_the_exit_flush_is_not_an_error():
+    # the output fits the buffer, so the write fails only in the flush at
+    # interpreter exit, which must find nothing to complain about
+    proc = _gen_chain(5)
+    proc.stdout.close()
+    assert _finish(proc) == (0, b"")
 
 
 def test_unknown_command(capsys):

@@ -114,6 +114,31 @@ def test_relations_rebuild_the_poset(p):
     assert Poset.from_relations(p.labels, p.covers) == p
 
 
+def _masks(q):
+    return q._above, q._below, q._ucov, q._dcov
+
+
+def _pairs(q, rows):
+    return {(q.labels[i], q.labels[j])
+            for i, row in enumerate(rows) for j in range(len(q)) if row >> j & 1}
+
+
+@given(st.one_of(posets(), ladders()))
+def test_construction_from_any_generating_edges(p):
+    # covers, the whole strict order, and the non-bridge covers behind the
+    # pruned poset all generate the same masks as a rebuild from the order
+    assert _masks(Poset.from_relations(p.labels, p.covers)) == _masks(p)
+    assert _masks(Poset(p.labels, p._above)) == _masks(p)
+    pruned = prune(p).pruned
+    assert _masks(Poset(p.labels, pruned._above)) == _masks(pruned)
+    for q in (p, pruned):
+        r = ref.P(q.labels, q.covers)  # reference closure of the covers
+        assert _pairs(q, q._above) == r.R
+        assert _pairs(q, q._below) == {(b, a) for a, b in r.R}
+        assert _pairs(q, q._ucov) == r.covers()
+        assert _pairs(q, q._dcov) == {(b, a) for a, b in r.covers()}
+
+
 @given(posets())
 def test_meet_join_duality(p):
     q = p.opposite()

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from veinprune import (
+    InternalOrderViolation,
     Poset,
     PreconditionViolated,
     UnknownLabel,
@@ -16,6 +17,7 @@ from veinprune import (
     star_chain_check,
     strict_veins,
 )
+from veinprune.pruning import _non_bridge_covers, _validate_strict_order
 
 
 def test_pruning_leq_fixtures(c3, yp, b3):
@@ -100,6 +102,16 @@ def test_prune_yp(yp):
     assert report.fixpoint_reached_after is None
 
 
+def test_witness_map_reads_membership_from_the_pruned_order(yp):
+    witnesses = prune(yp).witnesses
+    assert ("b", "c") in witnesses
+    for key in [("a", "b"), ("c", "b"), ("b", "b"), ("b", "zz"), ("b",), "bc"]:
+        assert key not in witnesses
+        with pytest.raises(KeyError):
+            witnesses[key]
+    assert dict(witnesses) == {key: witnesses[key] for key in witnesses}
+
+
 def test_prune_b3_fixed(b3):
     report = prune(b3)
     assert report.pruned == b3
@@ -150,6 +162,50 @@ def test_iterate_prune_cap(c3):
     trivial = iterate_prune(c3, max_iters=0)
     assert trivial.posets == [c3]
     assert trivial.fixpoint_index is None
+
+
+def test_iterate_prune_rejects_unknown_mode_without_iterating(c3):
+    with pytest.raises(ValueError):
+        iterate_prune(c3, max_iters=0, mode="quick")
+
+
+# a < b < c, so element a has index 0, b index 1 and c index 2
+CHAIN3 = Poset.from_relations("abc", [("a", "b"), ("b", "c")])
+
+
+@pytest.mark.parametrize("star", [
+    (0b001, 0b000, 0b000),  # a <* a
+    (0b010, 0b001, 0b000),  # a <* b <* a, a 2-cycle
+    (0b010, 0b100, 0b000),  # a <* b <* c, not a <* c
+])
+def test_validation_rejects_a_relation_that_is_no_strict_order(star):
+    with pytest.raises(InternalOrderViolation):
+        _validate_strict_order(CHAIN3, star, star)
+
+
+def test_validation_rejects_a_relation_the_poset_lacks():
+    # b <* a is a strict order on its own, but not inside a < b < c
+    with pytest.raises(InternalOrderViolation, match="lacks"):
+        _validate_strict_order(CHAIN3, (0, 0b001, 0), (0, 0b001, 0))
+
+
+def test_validation_rejects_a_relation_its_edges_do_not_generate():
+    # a <* c is transitive but not reached from the empty edge set
+    star = (0b100, 0b000, 0b000)
+    with pytest.raises(InternalOrderViolation, match="do not imply"):
+        _validate_strict_order(CHAIN3, star, (0, 0, 0))
+    # and a generating edge must be in the relation it generates
+    with pytest.raises(InternalOrderViolation, match="generating pair"):
+        _validate_strict_order(CHAIN3, (0, 0, 0), (0b010, 0, 0))
+
+
+def test_validation_accepts_the_orders_it_should(fx):
+    for p in fx.values():
+        _validate_strict_order(p, p._above, p._above)
+        _validate_strict_order(p, p._above, p._ucov)
+        pruned = prune(p).pruned
+        _validate_strict_order(p, pruned._above, _non_bridge_covers(p))
+        _validate_strict_order(p, pruned._above, pruned._above)
 
 
 def test_star_chain_check(yp, b3, c3):

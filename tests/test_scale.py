@@ -1,10 +1,10 @@
 """Scale tier: shapes that once made the fast route slow or crash.
 
-Long chains, a deep poset, a Boolean lattice, a ladder of diamonds ending
-in a bridge, and the empty document. Each test asserts its output and a
-wall-time bound several times the measured cost, so that a return to a
-super-linear (or exponential) layer fails here. Bounds may only be
-tightened.
+Long chains, a wide antichain, a deep poset, a Boolean lattice, a ladder
+of diamonds ending in a bridge, and the empty document. Each test asserts
+its output and a wall-time bound several times the measured cost, so that
+a return to a super-linear (or exponential) layer fails here. Bounds may
+only be tightened.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import pytest
 from veinprune import (
     Poset,
     PosetDocument,
+    antichain_poset,
     boolean_poset,
     chain_poset,
     emit_text,
@@ -92,6 +93,63 @@ def test_info_on_long_chain(chain1500_file, capsys):
     assert "maximal chains: 1" in out
     assert "conditionally complete: yes" in out
     assert elapsed < 8.0
+
+
+@pytest.fixture(scope="module")
+def wide_files(tmp_path_factory):
+    """chain(5000) and antichain(5000): n(n-1)/2 relations, or none at all."""
+    folder = tmp_path_factory.mktemp("wide")
+    return {"chain": _write(folder, chain_poset(5000), "chain5000.txt"),
+            "antichain": _write(folder, antichain_poset(5000),
+                                "antichain5000.txt")}
+
+
+def _expect_wide(command: str, shape: str, out: str) -> None:
+    lines = out.splitlines()
+    labels = [f"e{i:04d}" for i in range(5000)]
+    chain = shape == "chain"
+    if command == "info":
+        relations = 5000 * 4999 // 2 if chain else 0
+        assert f"strict relations: {relations}" in lines
+        assert f"height: {4999 if chain else 0}" in lines
+        assert f"maximal chains: {1 if chain else 5000}" in lines
+        assert "conditionally complete: yes" in lines
+    elif command == "irr":
+        # every element of a chain or an antichain is doubly irreducible
+        assert len(lines) == 1 + 5000 + 1
+        assert all(line.split()[1:] == ["yes", "yes", "yes"]
+                   for line in lines[1:-1])
+        assert lines[-1] == "preserved under pruning: yes"
+    elif command == "dot":
+        assert out.count(" -> ") == (4999 if chain else 0)
+    elif command == "prune":
+        # every cover of a chain is a bridge, so pruning leaves an antichain
+        assert lines == labels
+    else:
+        assert lines == ["fixpoint after 1 iteration" if chain
+                         else "fixpoint after 0 iterations"]
+
+
+# about 5x the slowest of three runs on a 2-vCPU Xeon host (Python 3.11),
+# at least 0.25 s. Every command on the chain, and info and irr on the
+# antichain, took 10 s or more while parsing and pruning stepped through
+# every strict relation and the completeness test through every
+# incomparable pair.
+WIDE_BOUNDS = {
+    ("info", "chain"): 0.6, ("info", "antichain"): 0.25,
+    ("irr", "chain"): 0.9, ("irr", "antichain"): 0.35,
+    ("dot", "chain"): 0.5, ("dot", "antichain"): 0.25,
+    ("prune", "chain"): 0.5, ("prune", "antichain"): 0.25,
+    ("iterate", "chain"): 0.5, ("iterate", "antichain"): 0.25,
+}
+
+
+@pytest.mark.parametrize("command, shape", sorted(WIDE_BOUNDS))
+def test_wide_and_long_shapes(wide_files, capsys, command, shape):
+    code, out, elapsed = _timed_cli([command, wide_files[shape]], capsys)
+    assert code == 0
+    _expect_wide(command, shape, out)
+    assert elapsed < WIDE_BOUNDS[command, shape]
 
 
 def test_info_on_boolean_lattice(tmp_path, capsys):
