@@ -1,6 +1,8 @@
 #!/bin/bash
 set -euo pipefail
-cd "$(mktemp -d)"
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+cd "$work"
 
 # grep -q for piped output, reading all of it first: grep -q alone may exit
 # before the writer is done, and the writer then fails on a broken pipe

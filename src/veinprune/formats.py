@@ -114,6 +114,11 @@ def parse_json(text: str) -> PosetDocument:
         obj = json.loads(text)
     except ValueError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    return _document_from_json(obj)
+
+
+def _document_from_json(obj: object) -> PosetDocument:
+    """Validate a decoded JSON value against the schema and build its poset."""
     if not isinstance(obj, dict):
         raise ParseError("the top level must be an object")
     extra = set(obj) - {"elements", "covers", "name"}
@@ -168,10 +173,10 @@ def load_document(text: str) -> PosetDocument:
     """
     if text.lstrip().startswith("{"):
         try:
-            json.loads(text)
+            obj = json.loads(text)
         except ValueError:
             return parse_text(text)
-        return parse_json(text)
+        return _document_from_json(obj)
     return parse_text(text)
 
 

@@ -87,11 +87,17 @@ def _proper_meets(p: Poset) -> frozenset[str]:
     The meet of comparable elements is one of them, so only incomparable
     pairs count; their meet m exists iff ↓a ∩ ↓b is the principal
     down-set ↓m, found by one lookup among the n principal down-sets.
+    A pair has a meet only if both elements have something below them,
+    so the others are skipped; a wide antichain costs O(n).
     """
     downs = {mask | 1 << m: m for m, mask in enumerate(p._below)}
+    has_below = 0
+    for i, down in enumerate(p._below):
+        if down:
+            has_below |= 1 << i
     out: set[str] = set()
-    for a in range(len(p)):
-        for b in _bits(p._incomparable_above(a)):
+    for a in _bits(has_below):
+        for b in _bits(p._incomparable_above(a) & has_below):
             m = downs.get(p._below[a] & p._below[b])
             if m is not None:
                 out.add(p._labels[m])

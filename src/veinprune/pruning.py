@@ -9,9 +9,12 @@ fixpoint after at most one step.
 The fast route deletes the bridge edges from the cover digraph and takes
 reachability: a maximal chain of [x, y] is a cover path from x to y, and
 it contains a strict vein exactly when two consecutive entries form a
-bridge edge. Witness chains come from a greedy ascent guided by that
-reachability. The definition-level route lives in :mod:`veinprune.oracle`;
-``prune`` and ``iterate_prune`` reach it with ``mode="oracle"``.
+bridge edge. The pruned poset is closed once from the non-bridge covers,
+and a poset without bridge edges is its own pruning. Witness chains come
+from a mask walk on the pruned poset's covers, guided by its reachability
+(see :func:`pruning_witness`). The definition-level route lives in
+:mod:`veinprune.oracle`; ``prune`` and ``iterate_prune`` reach it with
+``mode="oracle"``.
 
 Every pass validates its relation in O(n + edges) mask operations: it
 must lie inside the order of the poset and be generated by its edges (the
@@ -73,41 +76,31 @@ def _non_bridge_covers(p: Poset) -> list[int]:
 
 
 @_memoized
+def _built_pruned(p: Poset) -> Poset | None:
+    """The pruned poset when p has bridge edges, None when it has none.
+
+    None marks a poset that prunes to itself. Storing p in its own memo
+    instead would make a reference cycle, which keeps the poset alive until
+    the collector's next full pass.
+    """
+    if _bridge_pairs_ix(p):
+        return Poset(p._labels, _non_bridge_covers(p))
+    return None
+
+
 def _pruned(p: Poset) -> Poset:
-    """The pruned poset of the fast route, closed from the non-bridge covers."""
-    return Poset(p._labels, _non_bridge_covers(p))
+    """The pruned poset of the fast route, closed from the non-bridge covers.
+
+    Built once per poset. A poset without bridge edges is its own pruning,
+    since its non-bridge covers are all its covers; it is returned as is.
+    """
+    q = _built_pruned(p)
+    return p if q is None else q
 
 
 def _star_above(p: Poset) -> tuple[int, ...]:
     """Strict pruning-order reachability masks (the fast route)."""
     return _pruned(p)._above
-
-
-def _greedy_clean_chain(p: Poset, ix: int, iy: int) -> tuple[int, ...] | None:
-    """Lexicographically least maximal chain of [x, y] with no strict vein.
-
-    A clean chain exists iff y is reachable from x along non-bridge
-    covers, which ``_star_above`` records. From each element the ascent
-    steps to the lowest-index non-bridge upper cover j from which y is
-    still reachable (j = y, or y in ``_star_above[j]``). The oracle's
-    depth-first search returns the same chain, because this reachability
-    test rejects exactly the branches on which that search would fail.
-    The ascent costs O(length x degree) and needs no recursion.
-    """
-    star = _star_above(p)
-    if not star[ix] >> iy & 1:
-        return None
-    bridges = _bridge_pairs_ix(p)
-    mask = p._interval_mask(ix, iy)
-    chain = [ix]
-    i = ix
-    while i != iy:
-        # some cover qualifies: i = x, or i was picked because y is
-        # reachable from it along non-bridge covers
-        i = next(j for j in _bits(p._ucov[i] & mask)
-                 if (i, j) not in bridges and (j == iy or star[j] >> iy & 1))
-        chain.append(i)
-    return tuple(chain)
 
 
 def pruning_leq(p: Poset, x: str, y: str) -> bool:
@@ -117,25 +110,53 @@ def pruning_leq(p: Poset, x: str, y: str) -> bool:
 
 
 def pruning_witness(p: Poset, x: str, y: str) -> PruneWitness | None:
-    """A witness chain for x <* y, or None when x = y or x <* y fails."""
-    # x <* x never holds, so the ascent finds no chain for x = y
-    seq = _greedy_clean_chain(p, p._i(x), p._i(y))
-    if seq is None:
-        return None
-    return PruneWitness(x=x, y=y, chain=tuple(p._labels[k] for k in seq))
+    """The least witness chain for x <* y, or None when x = y or x <* y fails.
+
+    The witness is the lexicographically least maximal chain of [x, y]
+    with no strict vein, found by a mask walk on the pruned poset q. Two
+    facts about q make the walk exact:
+
+    1. ``q._ucov`` holds exactly the non-bridge covers of p. A cover of p
+       stays a cover in the smaller order of q, and every cover of q is
+       one of the edges q was built from.
+    2. ``q._below[iy]`` is the set of elements from which y is reachable
+       along non-bridge covers.
+
+    From x the walk steps to the lowest-index non-bridge upper cover from
+    which y is still reachable, until it reaches y. Any such cover lies
+    in [x, y], so no interval mask and no bridge set is needed. The
+    oracle's depth-first search returns the same chain, because the
+    reachability mask rejects exactly the branches on which that search
+    would fail. The walk costs O(length) mask operations.
+    """
+    q = _pruned(p)
+    ix, iy = p._i(x), p._i(y)
+    if not q._above[ix] >> iy & 1:
+        return None  # x <* x never holds
+    reach = q._below[iy] | 1 << iy
+    chain = [x]
+    i = ix
+    while i != iy:
+        c = q._ucov[i] & reach
+        # nonempty: i = x, or i was picked because y is reachable from it
+        assert c, "the witness walk lost its way"
+        i = (c & -c).bit_length() - 1
+        chain.append(q._labels[i])
+    return PruneWitness(x=x, y=y, chain=tuple(chain))
 
 
 class _WitnessMap(Mapping):
     """Lazy map from strict pruned pairs to their witness chains.
 
     Size and membership are read from the pruning masks ``star``; the
-    sorted key list is built only when the map is iterated.
+    sorted key list is built only when the map is iterated. Each lookup
+    runs the witness walk of :func:`pruning_witness`, which costs O(length)
+    mask operations, so nothing is cached here.
     """
 
     def __init__(self, poset: Poset, star: tuple[int, ...]):
         self._poset = poset
         self._star = star
-        self._witnesses: dict[tuple[str, str], PruneWitness] = {}
 
     def __contains__(self, key) -> bool:
         index = self._poset._index
@@ -147,12 +168,7 @@ class _WitnessMap(Mapping):
     def __getitem__(self, key: tuple[str, str]) -> PruneWitness:
         if key not in self:
             raise KeyError(key)
-        witness = self._witnesses.get(key)
-        if witness is None:
-            witness = pruning_witness(self._poset, key[0], key[1])
-            assert witness is not None  # key is a pruned strict pair
-            self._witnesses[key] = witness
-        return witness
+        return pruning_witness(self._poset, key[0], key[1])
 
     def __iter__(self):
         labels = self._poset._labels
@@ -260,10 +276,12 @@ def prune(p: Poset, mode: str = "fast") -> PruneReport:
 
     ``fast`` deletes the bridge edges and takes reachability; ``oracle``
     tests every strict pair through :mod:`veinprune.oracle`. Either way
-    the witnesses come from the greedy ascent, which finds the oracle's
-    chains. The computed relation is validated as a strict partial order
-    and InternalOrderViolation is raised on any breach. The fast route's
-    pruned poset is built once per poset, from the non-bridge covers.
+    the witnesses come from the mask walk of :func:`pruning_witness`,
+    which finds the oracle's chains. The computed relation is validated
+    as a strict partial order and InternalOrderViolation is raised on any
+    breach. The fast route's pruned poset is built once per poset, from
+    the non-bridge covers; a poset without bridge edges is returned as
+    its own pruning.
     """
     return _prune(p, _route(mode))
 

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from veinprune import (
@@ -18,6 +21,8 @@ from veinprune import (
     strict_veins,
 )
 from veinprune.pruning import _non_bridge_covers, _validate_strict_order
+
+from test_scale import ladder
 
 
 def test_pruning_leq_fixtures(c3, yp, b3):
@@ -82,6 +87,16 @@ def test_witness_agrees_across_modes(fx):
                 assert (w.chain if w else None) == oracle.clean_chain(p, x, y)
 
 
+def test_witness_map_chains_are_the_oracle_chains(fx):
+    for p in fx.values():
+        witnesses = prune(p).witnesses
+        assert set(witnesses) == {
+            (x, y) for x in p.labels for y in p.labels
+            if oracle.clean_chain(p, x, y) is not None}
+        for x, y in witnesses:
+            assert witnesses[x, y].chain == oracle.clean_chain(p, x, y)
+
+
 def test_prune_c3(c3):
     report = prune(c3)
     assert report.original == c3
@@ -118,6 +133,41 @@ def test_prune_b3_fixed(b3):
     assert report.removed_relations == 0
     assert report.fixpoint_reached_after == 0
     assert len(report.witnesses) == len(b3.relations())
+
+
+def test_a_bridge_free_poset_prunes_to_itself(b3):
+    it = iterate_prune(ladder(3))
+    once = it.posets[1]
+    assert it.fixpoint_index == 1
+    assert it.posets[2] is once  # the second pass builds nothing
+    for q in (b3, once):
+        report = prune(q)
+        assert report.pruned is q
+        assert report.fixpoint_reached_after == 0
+        assert report.removed_relations == 0
+
+
+class _WeakPoset(Poset):
+    """A Poset that admits weak references, which Poset's slots leave out."""
+
+    __slots__ = ("__weakref__",)
+
+
+def test_a_bridge_free_poset_is_freed_without_the_collector(b3):
+    # a poset that is its own pruning must not sit in its own memo: that
+    # cycle would keep it alive until the collector's next full pass
+    q = _WeakPoset(b3._labels, b3._ucov)
+    alive = weakref.ref(q)
+    gc.disable()
+    try:
+        assert prune(q).pruned is q
+        assert pruning_witness(q, "{}", "{1,2,3}").chain == \
+            ("{}", "{1}", "{1,2}", "{1,2,3}")
+        assert iterate_prune(q).fixpoint_index == 0
+        del q
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_prune_preserves_elements(fx):
