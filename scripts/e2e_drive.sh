@@ -16,6 +16,8 @@ veinprune gen chain --size 20000 | head -n 1 | has "e00000 < e00001"
 
 veinprune info yp.txt | has "elements: 4"
 veinprune info b3.txt | has "maximal chains: 6"
+# a fence is conditionally complete, and linear to check
+veinprune gen fence --size 20000 | veinprune info - | has "conditionally complete: yes"
 veinprune veins yp.txt | has "strict veins (1):"
 veinprune veins yp.txt | has "  a b"
 # the definition-level route prints what the fast route prints

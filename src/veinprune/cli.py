@@ -65,7 +65,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
     if doc.name:
         print(f"name: {doc.name}")
     print(f"elements: {len(p)}")
-    print(f"cover pairs: {len(p.covers)}")
+    print(f"cover pairs: {sum(m.bit_count() for m in p._ucov)}")
     print(f"strict relations: {sum(m.bit_count() for m in p._above)}")
     print(f"minimal elements: {' '.join(p.minimal_elements())}")
     print(f"maximal elements: {' '.join(p.maximal_elements())}")

@@ -19,6 +19,7 @@ to equal bytes.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 
 from .errors import ParseError
@@ -53,9 +54,11 @@ class PosetDocument:
         return doc
 
 
+_BAD = re.compile(r"[\s<#]")  # \s is exactly str.isspace() on str patterns
+
+
 def _token_ok(label: str) -> bool:
-    return (bool(label) and "<" not in label and "#" not in label
-            and not any(ch.isspace() for ch in label))
+    return bool(label) and _BAD.search(label) is None
 
 
 def parse_text(text: str) -> PosetDocument:

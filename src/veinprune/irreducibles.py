@@ -4,8 +4,9 @@ An element is irreducible when it is maximal or its strict upper set is a
 filter (up-closed and down-directed; the empty set counts as a filter).
 Coirreducible is the same notion in the opposite poset. In a conditionally
 complete poset, irreducibility is equivalent to never being a proper meet:
-x = meet(a, b) forces x in {a, b}. Pruning a finite conditionally complete
-poset leaves both classes of elements unchanged.
+x = meet(a, b) forces x in {a, b}; the proper meets come from the poset's
+one scan, which also decides completeness. Pruning a finite conditionally
+complete poset leaves both classes of elements unchanged.
 
 In a finite poset, x is irreducible iff it has at most one upper cover.
 The strict upper set of x is always up-closed. If c is the only upper
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotConditionallyComplete
-from .poset import Poset, _bits, _memoized
+from .poset import Poset
 from .pruning import prune
 
 
@@ -80,42 +81,20 @@ def doubly_irreducibles(p: Poset) -> frozenset[str]:
     return frozenset(x for x, entry in prof.items() if entry.doubly)
 
 
-@_memoized
-def _proper_meets(p: Poset) -> frozenset[str]:
-    """Elements expressible as meet(a, b) with the element outside {a, b}.
-
-    The meet of comparable elements is one of them, so only incomparable
-    pairs count; their meet m exists iff ↓a ∩ ↓b is the principal
-    down-set ↓m, found by one lookup among the n principal down-sets.
-    A pair has a meet only if both elements have something below them,
-    so the others are skipped; a wide antichain costs O(n).
-    """
-    downs = {mask | 1 << m: m for m, mask in enumerate(p._below)}
-    has_below = 0
-    for i, down in enumerate(p._below):
-        if down:
-            has_below |= 1 << i
-    out: set[str] = set()
-    for a in _bits(has_below):
-        for b in _bits(p._incomparable_above(a) & has_below):
-            m = downs.get(p._below[a] & p._below[b])
-            if m is not None:
-                out.add(p._labels[m])
-    return frozenset(out)
-
-
 def is_irreducible_via_meet(p: Poset, x: str) -> bool:
     """Meet-based irreducibility test, valid in conditionally complete posets.
 
     True iff x = meet(a, b) implies x in {a, b} for all pairs. Raises
     NotConditionallyComplete when the hypothesis fails, since the
-    equivalence with :func:`is_irreducible` is only guaranteed there.
+    equivalence with :func:`is_irreducible` is only guaranteed there. The
+    proper meets come from the poset's one scan, as completeness does.
     """
-    p._i(x)
-    if not p.is_conditionally_complete():
+    ix = p._i(x)
+    meets = p._proper_meets()
+    if meets is None:
         raise NotConditionallyComplete(
             "the meet characterization needs a conditionally complete poset")
-    return x not in _proper_meets(p)
+    return ix not in meets
 
 
 @dataclass

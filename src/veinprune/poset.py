@@ -467,46 +467,61 @@ class Poset:
         return (((1 << len(self._labels)) - (2 << a))
                 & ~(self._above[a] | self._below[a]))
 
+    def _pairs_sharing_a_lower_bound(self) -> Iterator[tuple[int, int]]:
+        """Incomparable pairs a < b (by index) with a common lower bound.
+
+        Every lower bound lies above a minimal element, so the partners of
+        a lie above the minimal elements below a. Pairs come a ascending,
+        then b ascending; in a fence, a has at most two partners.
+        """
+        below, above = self._below, self._above
+        minimal = 0
+        for i, down in enumerate(below):
+            if not down:
+                minimal |= 1 << i
+        for a, down in enumerate(below):
+            if not down:
+                continue
+            partners = 0
+            for m in _bits(down & minimal):
+                partners |= above[m]
+            for b in _bits(partners & self._incomparable_above(a)):
+                yield a, b
+
     @_memoized
+    def _proper_meets(self) -> frozenset[int] | None:
+        """Indices of the meets of incomparable pairs, all of them proper.
+
+        None when a pair with a common lower bound has no meet; the scan
+        stops there, and sparse posets often fail within a few pairs. The
+        common lower bounds ↓a ∩ ↓b are searched for a maximum once per
+        distinct set; a set with a maximum m is ↓m, so there are at most
+        n + 1 searches.
+        """
+        below = self._below
+        maxima: dict[int, int] = {}
+        for a, b in self._pairs_sharing_a_lower_bound():
+            lower = below[a] & below[b]
+            if lower not in maxima:
+                top = self._unique_maximal(lower)
+                if top is None:
+                    return None
+                maxima[lower] = top
+        return frozenset(maxima.values())
+
     def is_conditionally_complete(self) -> bool:
         """True iff bounded pairs have meets and joins.
 
         Every pair with a common lower bound must have a meet, and every
-        pair with a common upper bound must have a join.
-
-        Comparable pairs always have both. For incomparable a, b the
-        common lower bounds ↓a ∩ ↓b form a down-set, and a down-set has a
-        maximum m iff it equals the principal down-set ↓m. Every set found
-        to have a maximum is remembered; there are only n principal
-        down-sets, so the maximum is searched at most n + 1 times and
-        every other pair costs one set lookup. Dually for joins. Pairs
-        are taken in index order, so the scan stops at the first bad pair
-        (sparse posets often fail within the first few). In a finite
-        poset the meet half implies the join half; testing both stops
-        the scan at whichever bad pair comes first. An element with
-        nothing below and nothing above it shares no bound with anything,
-        so pairs containing it are skipped; a wide antichain costs O(n).
+        pair with a common upper bound must have a join. Comparable pairs
+        have both, so :meth:`_proper_meets` scans only the incomparable
+        pairs sharing a lower bound. In a finite poset the meets give the
+        joins: if U, the common upper bounds of a and b, is nonempty, any
+        two members of U have a and b as common lower bounds, so their
+        meet exists and lies in U. Folding meets over U gives its minimum,
+        which is the join.
         """
-        below, above = self._below, self._above
-        bounded = 0
-        for i, (down, up) in enumerate(zip(below, above)):
-            if down or up:
-                bounded |= 1 << i
-        principal_downs: set[int] = set()
-        principal_ups: set[int] = set()
-        for a in _bits(bounded):
-            for b in _bits(self._incomparable_above(a) & bounded):
-                lower = below[a] & below[b]
-                if lower and lower not in principal_downs:
-                    if self._unique_maximal(lower) is None:
-                        return False
-                    principal_downs.add(lower)
-                upper = above[a] & above[b]
-                if upper and upper not in principal_ups:
-                    if self._unique_minimal(upper) is None:
-                        return False
-                    principal_ups.add(upper)
-        return True
+        return self._proper_meets() is not None
 
     def is_filtered_upset(self, subset: Iterable[str]) -> bool:
         """True iff ``subset`` is up-closed and down-directed (a filter).

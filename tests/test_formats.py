@@ -84,6 +84,17 @@ def test_emit_text_unrepresentable_label():
     assert doc.to_poset() == p
 
 
+
+@pytest.mark.parametrize("space", ["\u00a0", "\u2003", "\u3000"])
+def test_non_ascii_whitespace_is_not_a_label(space):
+    label = f"x{space}y"
+    with pytest.raises(ParseError, match="bad label in relation"):
+        parse_text(f"{label} < z\n")
+    with pytest.raises(ParseError, match="single token"):
+        parse_text(f"{label}\n")
+    with pytest.raises(ParseError, match="not representable"):
+        emit_text(PosetDocument(elements=[label], covers=[]))
+
 def test_parse_json(a2):
     doc = parse_json('{"elements": ["a", "b"], "covers": []}')
     assert doc.to_poset() == a2

@@ -99,6 +99,36 @@ def ladders(draw, max_size=9):
     return Poset.from_relations(labels, pairs)
 
 
+@st.composite
+def fences(draw, max_size=9):
+    """Small fences (zigzags) on randomly permuted labels.
+
+    Each element shares a bound with at most two others, and a peak sits
+    above two minimal elements, either of which may have the lower index.
+    """
+    n = draw(st.integers(min_value=1, max_value=max_size))
+    labels = draw(st.permutations(string.ascii_lowercase[:n]))
+    first_up = draw(st.booleans())
+    pairs = [(x, y) if (i % 2 == 0) == first_up else (y, x)
+             for i, (x, y) in enumerate(zip(labels, labels[1:]))]
+    return Poset.from_relations(labels, pairs)
+
+
+@st.composite
+def crowns(draw, max_n=4):
+    """Crowns on randomly permuted labels: l_i < u_j for every j != i.
+
+    Crowns of 2 or 3 pairs are conditionally complete; from 4 pairs on,
+    two upper elements share two maximal lower bounds.
+    """
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    labels = draw(st.permutations(string.ascii_lowercase[:2 * n]))
+    lower, upper = labels[:n], labels[n:]
+    return Poset.from_relations(labels, [(lower[i], upper[j])
+                                         for i in range(n)
+                                         for j in range(n) if i != j])
+
+
 @given(posets())
 def test_opposite_involution(p):
     q = p.opposite()
@@ -335,7 +365,7 @@ def test_cover_count_irreducibility_is_the_filter_definition(p):
         if twin.is_irreducible(x) and twin.is_coirreducible(x))
 
 
-@given(st.one_of(posets(max_size=7), lattices()))
+@given(st.one_of(posets(max_size=7), lattices(), fences(), crowns()))
 def test_principal_set_completeness_is_the_pairwise_definition(p):
     twin = ref.mirror(p)
     assert p.is_conditionally_complete() == twin.conditionally_complete()

@@ -1,10 +1,10 @@
 """Scale tier: shapes that once made the fast route slow or crash.
 
-Long chains, a wide antichain, a deep poset, a Boolean lattice, a ladder
-of diamonds ending in a bridge, and the empty document. Each test asserts
-its output and a wall-time bound several times the measured cost, so that
-a return to a super-linear (or exponential) layer fails here. Bounds may
-only be tightened.
+Long chains, a wide antichain, a long fence, a complete bipartite poset,
+a deep poset, a Boolean lattice, a ladder of diamonds ending in a bridge,
+and the empty document. Each test asserts its output and a wall-time
+bound several times the measured cost, so that a return to a super-linear
+(or exponential) layer fails here. Bounds may only be tightened.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from veinprune import (
     bridge_edges,
     chain_poset,
     emit_text,
+    fence_poset,
     is_irreducible_via_meet,
     prune,
     pruning_witness,
@@ -219,6 +220,54 @@ def test_meet_irreducibility_on_wide_antichain():
     assert is_irreducible_via_meet(p, "e3999")
     elapsed = time.perf_counter() - started
     # measured 8 ms; walking every incomparable pair took 10 s or more
+    assert elapsed < 0.25
+
+
+@pytest.fixture(scope="module")
+def fence20000_file(tmp_path_factory):
+    return _write(tmp_path_factory.mktemp("fence"), fence_poset(20000),
+                  "fence20000.txt")
+
+
+# about 5x the slowest of three runs on a 2-vCPU Xeon host (Python 3.11),
+# parsing included. Each element of a fence shares a bound with at most
+# two others; scanning every incomparable pair took about 500 s.
+@pytest.mark.parametrize("command, bound", [("info", 4.0), ("irr", 4.6)])
+def test_long_fence(fence20000_file, capsys, command, bound):
+    code, out, elapsed = _timed_cli([command, fence20000_file], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    if command == "info":
+        assert "cover pairs: 19999" in lines
+        assert "conditionally complete: yes" in lines
+    else:
+        # the first element and every peak have at most one upper cover
+        assert sum(line.split()[1] == "yes" for line in lines[1:-1]) == 10001
+        assert lines[-1] == "preserved under pruning: yes"
+    assert elapsed < bound
+
+
+def test_meet_irreducibility_on_fence():
+    p = fence_poset(5000)
+    started = time.perf_counter()
+    irreducible = [x for x in p.labels if is_irreducible_via_meet(p, x)]
+    elapsed = time.perf_counter() - started
+    # the first element and the 2500 peaks are no proper meet
+    assert len(irreducible) == 2501
+    # measured 27 ms; walking every incomparable pair took 13 s
+    assert elapsed < 0.25
+
+
+def test_completeness_fails_fast_on_complete_bipartite():
+    lower = [f"l{i:04d}" for i in range(1000)]
+    upper = [f"u{i:04d}" for i in range(1000)]
+    p = Poset.from_relations(lower + upper,
+                             [(a, b) for a in lower for b in upper])
+    started = time.perf_counter()
+    # any two upper elements share all 1000 lower ones, with no maximum
+    assert not p.is_conditionally_complete()
+    elapsed = time.perf_counter() - started
+    # measured 1 ms: the first pair decides
     assert elapsed < 0.25
 
 
