@@ -39,6 +39,8 @@ test "$(veinprune dot b3.txt)" = "$(cat b3.dot)"
 cat yp.txt | veinprune prune - | veinprune veins - | has "strict veins: none"
 
 VEINPRUNE_SEED=7 veinprune check --count 50 --max-size 9 | has "checks passed (seed 7)"
+# every check of the suite runs
+veinprune check --seed 3 --count 60 --max-size 8 | has "17 checks passed (seed 3)"
 
 # error paths must exit 2
 printf 'b < a\na < b\n' > bad.txt

@@ -65,39 +65,37 @@ from .irreducibles import (
     preservation_report,
     profiles,
 )
-from .oracle import is_irreducible_chain
+from .oracle import (
+    all_chains,
+    check_covering_characterization,
+    irreducible_chain_family,
+    is_irreducible_chain,
+    maximal_irreducible_chains,
+)
 from .poset import Poset
 from .pruning import (
     PruneIteration,
     PruneReport,
     PruneWitness,
-    cover_inheritance_check,
     iterate_prune,
     prune,
     pruning_leq,
     pruning_witness,
+)
+from .suite import (
+    CheckOutcome,
+    SuiteResult,
+    Violation,
+    cover_inheritance_check,
+    run_suite,
     star_chain_check,
 )
-from .suite import CheckOutcome, SuiteResult, Violation, run_suite
 from .veins import (
-    all_chains,
     bridge_edges,
-    check_covering_characterization,
-    irreducible_chain_family,
     is_vein,
-    maximal_irreducible_chains,
     maximal_veins,
     strict_veins,
     vein_family,
 )
 
 __version__ = "0.1.0"
-
-
-def clear_caches() -> None:
-    """Do nothing; kept so that existing callers keep working.
-
-    Every memoized table lives on the poset it describes and is freed
-    with it, so there is no process-wide cache left to clear. A fresh
-    poset, even one equal to an earlier poset, starts with cold caches.
-    """

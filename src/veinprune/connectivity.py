@@ -3,8 +3,7 @@
 A family of subsets is a connectivity when it is nonempty, covers the
 ground set, and is closed under unions of subfamilies with a common
 point. For finite families, closure under binary overlapping unions is
-equivalent and is what :meth:`SetFamily.is_connectivity` tests; the
-exhaustive subfamily form is kept alongside as a cross-check.
+equivalent and is what :meth:`SetFamily.is_connectivity` tests.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from itertools import combinations
 
-from .errors import EmptySet, MemberNotSubset, NotAConnectivity, TooLarge, UnknownLabel
+from .errors import EmptySet, MemberNotSubset, NotAConnectivity, UnknownLabel
 
 
 class SetFamily:
@@ -70,33 +69,6 @@ class SetFamily:
             return False
         for a, b in combinations(self._members, 2):
             if a & b and a | b not in self._member_set:
-                return False
-        return True
-
-    def is_connectivity_exhaustive(self, max_members: int = 20) -> bool:
-        """The same predicate, checked over every subfamily.
-
-        Runs through all subfamilies with a common point and demands their
-        union be a member. Exponential in the member count; TooLarge is
-        raised beyond ``max_members``. Kept as an oracle for the binary
-        check above.
-        """
-        if len(self._members) > max_members:
-            raise TooLarge(
-                f"{len(self._members)} members exceed the exhaustive "
-                f"bound {max_members}")
-        if not self._members:
-            return False
-        covered: set[str] = set()
-        for member in self._members:
-            covered.update(member)
-        if covered != set(self._ground):
-            return False
-        mem = self._members
-        for picks in range(1, 1 << len(mem)):
-            chosen = [mem[i] for i in range(len(mem)) if picks >> i & 1]
-            common = frozenset.intersection(*chosen)
-            if common and frozenset().union(*chosen) not in self._member_set:
                 return False
         return True
 

@@ -15,7 +15,8 @@ c), so c is a lower bound of the whole set inside it. If c and d are two
 upper covers, a common lower bound z > x of both satisfies x < z <= c, so
 z = c, and likewise z = d: there is none. Dually, x is coirreducible iff
 it has at most one lower cover. The tests below are therefore bit counts
-on the cover masks; :meth:`Poset.is_filtered_upset` stays the definition.
+on the cover masks; :func:`veinprune.oracle.is_filtered_upset` stays the
+definition.
 """
 
 from __future__ import annotations

@@ -5,12 +5,21 @@ literally, by walking cover paths and testing each against the maximal
 chains or the strict veins. Exponential by design, and independent of
 the fast bridge-edge route in :mod:`veinprune.veins` and
 :mod:`veinprune.pruning`, which is checked against it.
+
+The exhaustive cross-checks live here too: every chain and the
+irreducible-chain family, the covering form of chain irreducibility, the
+subfamily form of the connectivity axiom, and the filter definition of
+irreducibility. The module imports only :mod:`veinprune.poset`,
+:mod:`veinprune.connectivity` and :mod:`veinprune.errors`, so it never
+depends on the route it checks.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
+from .connectivity import SetFamily
+from .errors import TooLarge
 from .poset import Poset, _bits, _dfs_paths, _memoized
 
 
@@ -81,3 +90,118 @@ def _star_above(p: Poset) -> tuple[int, ...]:
     return tuple(sum(1 << j for j in _bits(p._above[i])
                      if _clean_chain_ix(p, i, j) is not None)
                  for i in range(len(p)))
+
+
+# ----------------------------------------------------------------------
+# exhaustive cross-checks
+
+
+def check_covering_characterization(p: Poset, subset: Iterable[str],
+                                    max_maximal_chains: int = 16) -> bool:
+    """Family form of chain irreducibility, checked exhaustively.
+
+    Runs through every nonempty family of maximal chains in which each
+    member meets the given chain, and demands that some member contain
+    the chain. Agrees with :func:`is_irreducible_chain`; kept as a slow
+    cross-check. TooLarge is raised when the poset has more maximal
+    chains than ``max_maximal_chains``.
+    """
+    cm = p._mask(p.as_chain(subset))
+    masks = _maximal_chain_masks(p)
+    if len(masks) > max_maximal_chains:
+        raise TooLarge(
+            f"{len(masks)} maximal chains exceed the exhaustive bound "
+            f"{max_maximal_chains}")
+    skip = 0       # families with a member disjoint from the chain
+    containing = 0  # members that contain the chain outright
+    for i, m in enumerate(masks):
+        if not cm & m:
+            skip |= 1 << i
+        elif not cm & ~m:
+            containing |= 1 << i
+    for family in range(1, 1 << len(masks)):
+        if family & skip:
+            continue
+        if not family & containing:
+            return False
+    return True
+
+
+def all_chains(p: Poset, max_elements: int = 16) -> list[tuple[str, ...]]:
+    """Every nonempty chain, ascending, sorted; exhaustive by design."""
+    if len(p) > max_elements:
+        raise TooLarge(
+            f"{len(p)} elements exceed the chain-enumeration bound "
+            f"{max_elements}")
+    return sorted(tuple(p._labels[k] for k in path) for start in range(len(p))
+                  for path in _dfs_paths(start, p._above.__getitem__))
+
+
+def irreducible_chain_family(p: Poset, max_elements: int = 16) -> SetFamily:
+    """Every irreducible chain of the poset, as a set family."""
+    members = [c for c in all_chains(p, max_elements)
+               if is_irreducible_chain(p, c)]
+    return SetFamily(p.labels, members)
+
+
+def maximal_irreducible_chains(p: Poset, max_elements: int = 16) -> list[tuple[str, ...]]:
+    """The inclusion-maximal irreducible chains, sorted."""
+    family = irreducible_chain_family(p, max_elements)
+    sets = family.members
+    out = []
+    for m in sets:
+        if not any(m < other for other in sets):
+            out.append(tuple(sorted(m, key=lambda lab: p._below[p._i(lab)].bit_count())))
+    return sorted(out)
+
+
+def is_connectivity_exhaustive(fam: SetFamily, max_members: int = 20) -> bool:
+    """:meth:`SetFamily.is_connectivity`, checked over every subfamily.
+
+    Demands that every subfamily with a common point have its union among
+    the members. A subfamily has the common point x exactly when all its
+    members contain x, so the subfamilies of the members through each
+    point are walked in turn: the cost is the sum over points x of
+    2^(members containing x). TooLarge is raised beyond ``max_members``.
+    Kept as an oracle for the binary check.
+    """
+    members = fam.members
+    if len(members) > max_members:
+        raise TooLarge(
+            f"{len(members)} members exceed the exhaustive "
+            f"bound {max_members}")
+    if not members:
+        return False
+    covered: set[str] = set()
+    for member in members:
+        covered.update(member)
+    if covered != set(fam.ground):
+        return False
+    for x in sorted(fam.ground):
+        through = [m for m in members if x in m]
+        for picks in range(1, 1 << len(through)):
+            chosen = [through[i] for i in range(len(through)) if picks >> i & 1]
+            if frozenset().union(*chosen) not in fam:
+                return False
+    return True
+
+
+def is_filtered_upset(p: Poset, subset: Iterable[str]) -> bool:
+    """True iff ``subset`` is up-closed and down-directed (a filter).
+
+    Down-directed means any two members have a lower bound inside the
+    subset. The empty set counts as a filter.
+    """
+    idxs = sorted({p._i(x) for x in subset})
+    smask = 0
+    for i in idxs:
+        smask |= 1 << i
+    for i in idxs:
+        if p._above[i] & ~smask:
+            return False
+    for pos, a in enumerate(idxs):
+        beq_a = p._below[a] | 1 << a
+        for b in idxs[pos + 1:]:
+            if not beq_a & (p._below[b] | 1 << b) & smask:
+                return False
+    return True

@@ -523,26 +523,6 @@ class Poset:
         """
         return self._proper_meets() is not None
 
-    def is_filtered_upset(self, subset: Iterable[str]) -> bool:
-        """True iff ``subset`` is up-closed and down-directed (a filter).
-
-        Down-directed means any two members have a lower bound inside the
-        subset. The empty set counts as a filter.
-        """
-        idxs = sorted({self._i(x) for x in subset})
-        smask = 0
-        for i in idxs:
-            smask |= 1 << i
-        for i in idxs:
-            if self._above[i] & ~smask:
-                return False
-        for pos, a in enumerate(idxs):
-            beq_a = self._below[a] | 1 << a
-            for b in idxs[pos + 1:]:
-                if not beq_a & (self._below[b] | 1 << b) & smask:
-                    return False
-        return True
-
     # ------------------------------------------------------------------
     # layout support
 

@@ -24,11 +24,11 @@ a strict partial order; see :func:`_validate_strict_order`.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 
 from . import oracle
-from .errors import InternalOrderViolation, PreconditionViolated
+from .errors import InternalOrderViolation
 from .poset import Poset, _bits, _memoized
 from .veins import _bridge_pairs_ix
 
@@ -302,54 +302,3 @@ def iterate_prune(p: Poset, max_iters: int = 4, mode: str = "fast") -> PruneIter
         if nxt == seq[-2]:
             return PruneIteration(posets=seq, fixpoint_index=len(seq) - 2)
     return PruneIteration(posets=seq, fixpoint_index=None)
-
-
-# ----------------------------------------------------------------------
-# lemma-level checks, used for regression testing the theory
-
-
-def star_chain_check(p: Poset, x: str, y: str, chain: Iterable[str]) -> bool:
-    """A witness chain is itself a chain for the pruning order.
-
-    Precondition: ``chain`` is a maximal chain of [x, y] containing no
-    strict vein of the ambient poset (PreconditionViolated otherwise).
-    Returns True iff every pair of its elements is pruning-comparable.
-    """
-    seq = p.as_chain(chain)
-    ix, iy = p._i(x), p._i(y)
-    if seq[0] != x or seq[-1] != y:
-        raise PreconditionViolated(
-            f"the chain must run from {x!r} to {y!r}")
-    for a, b in zip(seq, seq[1:]):
-        if not p._ucov[p._i(a)] >> p._i(b) & 1:
-            raise PreconditionViolated(
-                f"{a!r} < {b!r} is not a cover, so the chain is not "
-                "maximal in the interval")
-    # a cover path contains a strict vein iff it crosses a bridge edge
-    bridges = _bridge_pairs_ix(p)
-    if any((p._i(a), p._i(b)) in bridges for a, b in zip(seq, seq[1:])):
-        raise PreconditionViolated(
-            "the chain contains a strict vein of the ambient poset")
-    return all(pruning_leq(p, seq[i], seq[j])
-               for i in range(len(seq)) for j in range(i + 1, len(seq)))
-
-
-def cover_inheritance_check(p: Poset, x: str, y: str) -> bool:
-    """Covers inside [x, y] inherit the pruning relation from x <* y.
-
-    Precondition: x <* y with x != y (PreconditionViolated otherwise).
-    Returns True iff x <* c for every cover c of x inside [x, y], and
-    c <* y for every c covered by y inside [x, y].
-    """
-    ix, iy = p._i(x), p._i(y)
-    if ix == iy or not pruning_leq(p, x, y):
-        raise PreconditionViolated(
-            f"{x!r} <* {y!r} with distinct endpoints is required")
-    mask = p._interval_mask(ix, iy)
-    for c in _bits(p._ucov[ix] & mask):
-        if not pruning_leq(p, x, p._labels[c]):
-            return False
-    for c in _bits(p._dcov[iy] & mask):
-        if not pruning_leq(p, p._labels[c], y):
-            return False
-    return True

@@ -15,40 +15,9 @@ from collections.abc import Iterable
 
 from . import oracle
 from .connectivity import SetFamily
-from .errors import EmptySet, TooLarge
-from .oracle import _maximal_chain_masks, is_irreducible_chain
-from .poset import Poset, _dfs_paths, _memoized
-
-
-def check_covering_characterization(p: Poset, subset: Iterable[str],
-                                    max_maximal_chains: int = 16) -> bool:
-    """Family form of chain irreducibility, checked exhaustively.
-
-    Runs through every nonempty family of maximal chains in which each
-    member meets the given chain, and demands that some member contain
-    the chain. Agrees with :func:`is_irreducible_chain`; kept as a slow
-    cross-check. TooLarge is raised when the poset has more maximal
-    chains than ``max_maximal_chains``.
-    """
-    cm = p._mask(p.as_chain(subset))
-    masks = _maximal_chain_masks(p)
-    if len(masks) > max_maximal_chains:
-        raise TooLarge(
-            f"{len(masks)} maximal chains exceed the exhaustive bound "
-            f"{max_maximal_chains}")
-    skip = 0       # families with a member disjoint from the chain
-    containing = 0  # members that contain the chain outright
-    for i, m in enumerate(masks):
-        if not cm & m:
-            skip |= 1 << i
-        elif not cm & ~m:
-            containing |= 1 << i
-    for family in range(1, 1 << len(masks)):
-        if family & skip:
-            continue
-        if not family & containing:
-            return False
-    return True
+from .errors import EmptySet
+from .oracle import is_irreducible_chain
+from .poset import Poset, _memoized
 
 
 def is_vein(p: Poset, subset: Iterable[str]) -> bool:
@@ -150,31 +119,3 @@ def vein_family(p: Poset) -> SetFamily:
     members: list[tuple[str, ...]] = [(x,) for x in p.labels]
     members.extend(strict_veins(p))
     return SetFamily(p.labels, members)
-
-
-def all_chains(p: Poset, max_elements: int = 16) -> list[tuple[str, ...]]:
-    """Every nonempty chain, ascending, sorted; exhaustive by design."""
-    if len(p) > max_elements:
-        raise TooLarge(
-            f"{len(p)} elements exceed the chain-enumeration bound "
-            f"{max_elements}")
-    return sorted(tuple(p._labels[k] for k in path) for start in range(len(p))
-                  for path in _dfs_paths(start, p._above.__getitem__))
-
-
-def irreducible_chain_family(p: Poset, max_elements: int = 16) -> SetFamily:
-    """Every irreducible chain of the poset, as a set family."""
-    members = [c for c in all_chains(p, max_elements)
-               if is_irreducible_chain(p, c)]
-    return SetFamily(p.labels, members)
-
-
-def maximal_irreducible_chains(p: Poset, max_elements: int = 16) -> list[tuple[str, ...]]:
-    """The inclusion-maximal irreducible chains, sorted."""
-    family = irreducible_chain_family(p, max_elements)
-    sets = family.members
-    out = []
-    for m in sets:
-        if not any(m < other for other in sets):
-            out.append(tuple(sorted(m, key=lambda lab: p._below[p._i(lab)].bit_count())))
-    return sorted(out)

@@ -1,14 +1,16 @@
 """End-to-end acceptance checks over large seeded corpora.
 
 Each test covers one numbered acceptance item and prints a single
-summary line once every assertion in it has held. Corpora are seeded,
-so repeated runs exercise bit-for-bit identical posets. Time budgets
-are asserted where the item pins one.
+summary line once every assertion in it has held. Items 01 to 09 run
+the check bodies of :mod:`veinprune.suite`, the ones ``veinprune check``
+runs, on their own corpora, and keep only the assertions the suite has
+no counterpart for. Corpora are seeded, so repeated runs exercise
+bit-for-bit identical posets. Time budgets are asserted where the item
+pins one.
 """
 
 from __future__ import annotations
 
-import random
 import subprocess
 import sys
 import time
@@ -17,33 +19,19 @@ import pytest
 
 import veinprune
 from veinprune import (
-    all_chains,
-    check_covering_characterization,
-    cover_inheritance_check,
     doubly_irreducibles,
     downset_corpus,
     emit_dot,
     emit_json,
     emit_text,
     fixtures,
-    irreducible_chain_family,
-    is_irreducible,
-    is_irreducible_chain,
-    is_irreducible_via_meet,
-    is_vein,
-    iterate_prune,
-    maximal_irreducible_chains,
-    maximal_veins,
     parse_json,
     parse_text,
-    preservation_report,
     prune,
     pruning_leq,
-    star_chain_check,
     strict_veins,
-    vein_family,
+    suite,
     PosetDocument,
-    PreconditionViolated,
 )
 
 
@@ -52,33 +40,30 @@ def _report(capsys, num: int, text: str) -> None:
         print(f"ACCEPTANCE {num:02d} PASS {text}")
 
 
+def _holds(outcome: suite.CheckOutcome, checked: int | None = None) -> int:
+    """Assert that a suite check found no violation; return its count.
+
+    ``checked``, when given, is the number of instances it must have run.
+    """
+    assert outcome.ok, outcome.smallest()
+    if checked is not None:
+        assert outcome.checked == checked
+    return outcome.checked
+
+
 @pytest.fixture(scope="module")
 def big_corpus():
     # 500 random posets up to 12 elements, plus the five fixtures
     return list(fixtures().values()) + veinprune.random_corpus(500, 12, seed=9127)
 
 
-@pytest.fixture(scope="module")
-def star_relations(big_corpus):
-    # strict pruning-order pairs per poset, shared by several items
-    out = []
-    for p in big_corpus:
-        rel = {x: {y for y in p.labels if x != y and pruning_leq(p, x, y)}
-               for x in p.labels}
-        out.append((p, rel))
-    return out
-
-
 def test_acceptance_01_pruning_is_a_partial_order(big_corpus, capsys):
     started = time.perf_counter()
+    # antisymmetry and transitivity of the pruned order
+    _holds(suite._pruned_partial_order(big_corpus), len(big_corpus))
     for p in big_corpus:
-        rel = {x: {y for y in p.labels if x != y and pruning_leq(p, x, y)}
-               for x in p.labels}
         for x in p.labels:
             assert pruning_leq(p, x, x)                      # reflexive
-            for y in rel[x]:
-                assert x not in rel[y]                       # antisymmetric
-                assert rel[y] <= rel[x]                      # transitive
     elapsed = time.perf_counter() - started
     assert elapsed <= 60.0
     _report(capsys, 1,
@@ -86,65 +71,37 @@ def test_acceptance_01_pruning_is_a_partial_order(big_corpus, capsys):
 
 
 def test_acceptance_02_prune_is_idempotent(big_corpus, capsys):
-    for p in big_corpus:
-        once = prune(p).pruned
-        twice = prune(once).pruned
-        assert set(twice.relations()) == set(once.relations())
-        assert twice == once
+    _holds(suite._prune_idempotent(big_corpus), len(big_corpus))
     _report(capsys, 2, f"idempotent on {len(big_corpus)} posets")
 
 
 def test_acceptance_03_families_are_connectivities(capsys):
     corpus = veinprune.random_corpus(200, 8, seed=57)
-    assert all(len(p) <= 8 for p in corpus)
-    for p in corpus:
-        veins = vein_family(p)
-        chains = irreducible_chain_family(p)
-        for fam in (veins, chains):
-            assert fam.is_connectivity()
-            assert fam.is_point_connected()
-        assert set(veins.components()) == \
-            {frozenset(v) for v in maximal_veins(p)}
-        assert set(chains.components()) == \
-            {frozenset(c) for c in maximal_irreducible_chains(p)}
+    # the suite skips posets above 8 elements, so every poset is counted
+    _holds(suite._vein_connectivity(corpus), len(corpus))
+    _holds(suite._irreducible_chain_connectivity(corpus), len(corpus))
     _report(capsys, 3, f"both families pass on {len(corpus)} posets")
 
 
 def test_acceptance_04_covering_characterization(capsys):
     corpus = veinprune.random_corpus(200, 7, seed=58)
     corpus += [p for p in fixtures().values() if len(p) <= 7]
-    checked = 0
-    for p in corpus:
-        for chain in all_chains(p):
-            assert check_covering_characterization(p, chain) == \
-                is_irreducible_chain(p, chain)
-            checked += 1
+    # the suite skips posets with more than 16 maximal chains; none may be
+    _holds(suite._covering_characterization(corpus), len(corpus))
     _report(capsys, 4,
-            f"{checked} chains across {len(corpus)} posets agree")
+            f"every chain agrees across {len(corpus)} posets")
 
 
 def test_acceptance_05_veins_restrict_to_subposets(capsys):
     corpus = veinprune.random_corpus(1000, 10, seed=59)
-    for i, p in enumerate(corpus):
-        rng = random.Random(f"59:subset:{i}")
-        subset = {x for x in p.labels if rng.random() < 0.5}
-        if not subset:
-            subset = {rng.choice(p.labels)}
-        q = p.induced_subposet(subset)
-        for v in vein_family(p).members:
-            common = v & subset
-            if common:
-                assert is_vein(q, common)
-    _report(capsys, 5, f"{len(corpus)} (P, Q) pairs verified")
+    pairs = _holds(suite._vein_restriction(corpus, 59), 3 * len(corpus))
+    _report(capsys, 5, f"{pairs} (P, Q) pairs verified")
 
 
 def test_acceptance_06_modes_agree_and_fast_is_fast(big_corpus, capsys):
-    for p in big_corpus:
-        assert strict_veins(p, mode="fast") == strict_veins(p, mode="oracle")
-        for x in p.labels:
-            for y in p.labels:
-                assert pruning_leq(p, x, y) == \
-                    veinprune.oracle.pruning_leq(p, x, y)
+    _holds(suite._vein_modes_agree(big_corpus), len(big_corpus))
+    _holds(suite._pruning_modes_agree(big_corpus),
+           sum(len(p) ** 2 for p in big_corpus))
 
     # cold-cache timing at the largest size; reported, not gated
     twelve = [p for p in big_corpus if len(p) == 12][:15]
@@ -153,9 +110,9 @@ def test_acceptance_06_modes_agree_and_fast_is_fast(big_corpus, capsys):
         leq = pruning_leq if mode == "fast" else veinprune.oracle.pruning_leq
         total = 0.0
         for _ in range(20):
+            # fresh posets: every memo lives on its poset, so this is cold
             posets = [veinprune.Poset.from_relations(p.labels, p.relations())
                       for p in twelve]
-            veinprune.clear_caches()
             started = time.perf_counter()
             for p in posets:
                 strict_veins(p, mode=mode)
@@ -174,24 +131,14 @@ def test_acceptance_06_modes_agree_and_fast_is_fast(big_corpus, capsys):
             f"({len(twelve)} posets: {oracle:.3f}s vs {fast:.3f}s)")
 
 
-def test_acceptance_07_lemma_checks_hold(star_relations, capsys):
-    chain_instances = 0
-    cover_instances = 0
-    for p, rel in star_relations:
-        for x in p.labels:
-            for y in rel[x]:
-                assert cover_inheritance_check(p, x, y)
-                cover_instances += 1
-            for y in p.labels:
-                if x == y or not p.lt(x, y):
-                    continue
-                for chain in p.maximal_chains_in_interval(x, y):
-                    try:
-                        ok = star_chain_check(p, x, y, chain)
-                    except PreconditionViolated:
-                        continue
-                    assert ok
-                    chain_instances += 1
+def test_acceptance_07_lemma_checks_hold(big_corpus, capsys):
+    # one cover instance per strict pruned pair, and each such pair has at
+    # least one witness chain, which is a chain instance
+    cover_instances = _holds(
+        suite._cover_inheritance_lemma(big_corpus),
+        sum(len(prune(p).pruned.relations()) for p in big_corpus))
+    chain_instances = _holds(suite._star_chain_lemma(big_corpus))
+    assert chain_instances >= cover_instances
     _report(capsys, 7,
             f"{chain_instances} chain instances and "
             f"{cover_instances} cover instances hold")
@@ -199,12 +146,9 @@ def test_acceptance_07_lemma_checks_hold(star_relations, capsys):
 
 def test_acceptance_08_irreducibles_survive_pruning(capsys):
     corpus = downset_corpus(300, 6, seed=61)
-    for p in corpus:
-        rep = preservation_report(p)
-        assert rep.hypothesis_met
-        assert rep.preserved
-        for x in p.labels:
-            assert is_irreducible_via_meet(p, x) == is_irreducible(p, x)
+    # preservation_report raises unless the poset is conditionally complete
+    _holds(suite._irreducible_preservation(corpus), len(corpus))
+    _holds(suite._meet_equivalence(corpus), len(corpus))
     _report(capsys, 8,
             f"preservation and meet route agree on {len(corpus)} lattices")
 
@@ -215,8 +159,7 @@ def test_acceptance_09_fixture_facts(big_corpus, capsys):
     assert prune(fx["B3"]).pruned == fx["B3"]
     assert prune(fx["C3"]).pruned == veinprune.antichain_poset(3)
     assert prune(fx["Yp"]).pruned.relations() == (("b", "c"), ("b", "d"))
-    for p in big_corpus:
-        assert iterate_prune(p).fixpoint_index in (0, 1)
+    _holds(suite._iterate_reaches_fixpoint(big_corpus), len(big_corpus))
     _report(capsys, 9,
             f"fixture facts hold; fixpoint index <= 1 on "
             f"{len(big_corpus)} posets")

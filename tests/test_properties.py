@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 import _reference as ref
 from veinprune import (
     Poset,
+    SetFamily,
     bridge_edges,
     coirreducibles,
     doubly_irreducibles,
@@ -276,8 +277,8 @@ def test_veins_restrict_to_subposets(p, data):
 def test_vein_family_connectivity_axiom_forms_agree(p):
     fam = vein_family(p)
     assert fam.is_connectivity()
-    assert fam.is_connectivity() == fam.is_connectivity_exhaustive(
-        max_members=len(fam))
+    assert fam.is_connectivity() == oracle.is_connectivity_exhaustive(
+        fam, max_members=len(fam))
     assert fam.is_point_connected()
     assert set(fam.components()) == {frozenset(v) for v in maximal_veins(p)}
 
@@ -340,6 +341,15 @@ def test_reference_connectivity_of_vein_family_agrees(p):
         vein_family(p).is_connectivity()
 
 
+@given(st.lists(st.sets(st.sampled_from("abcde"), min_size=1), max_size=9))
+def test_point_by_point_subfamilies_are_the_subfamily_definition(members):
+    ground = set().union(*members)
+    fam = SetFamily(ground, members)
+    assert oracle.is_connectivity_exhaustive(fam) == \
+        ref.fam_is_connectivity_exhaustive(ground, members) == \
+        fam.is_connectivity()
+
+
 # ----------------------------------------------------------------------
 # the cover-count, principal-set and greedy-ascent shortcuts against the
 # definitions they replace
@@ -351,8 +361,8 @@ def test_cover_count_irreducibility_is_the_filter_definition(p):
     q = p.opposite()
     prof = profiles(p)
     for x in p.labels:
-        by_filter = p.is_filtered_upset(p.strict_upset(x))
-        by_co_filter = q.is_filtered_upset(q.strict_upset(x))
+        by_filter = oracle.is_filtered_upset(p, p.strict_upset(x))
+        by_co_filter = oracle.is_filtered_upset(q, q.strict_upset(x))
         assert prof[x].irreducible == by_filter == twin.is_irreducible(x)
         assert prof[x].coirreducible == by_co_filter == \
             twin.is_coirreducible(x)

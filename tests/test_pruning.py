@@ -19,6 +19,7 @@ from veinprune import (
     pruning_witness,
     star_chain_check,
     strict_veins,
+    suite,
 )
 from veinprune.pruning import _non_bridge_covers, _validate_strict_order
 
@@ -278,17 +279,9 @@ def test_star_chain_check(yp, b3, c3):
 
 def test_star_chain_check_everywhere(fx):
     # whenever x <* y, every maximal chain of [x, y] is saturated and clean,
-    # so the check must accept it
-    for p in fx.values():
-        for x in p.elements:
-            for y in p.elements:
-                if x == y or not pruning_leq(p, x, y):
-                    continue
-                for chain in p.maximal_chains_in_interval(x, y):
-                    try:
-                        assert star_chain_check(p, x, y, chain)
-                    except PreconditionViolated:
-                        pass  # chain touches a strict vein; nothing to assert
+    # so the check must accept it; chains touching a strict vein are skipped
+    outcome = suite._star_chain_lemma(list(fx.values()))
+    assert outcome.ok, outcome.smallest()
 
 
 def test_cover_inheritance_check(yp, b3, c3):
@@ -301,8 +294,5 @@ def test_cover_inheritance_check(yp, b3, c3):
 
 
 def test_cover_inheritance_everywhere(fx):
-    for p in fx.values():
-        for x in p.elements:
-            for y in p.elements:
-                if x != y and pruning_leq(p, x, y):
-                    assert cover_inheritance_check(p, x, y)
+    outcome = suite._cover_inheritance_lemma(list(fx.values()))
+    assert outcome.ok, outcome.smallest()

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import ast
+import importlib
+from pathlib import Path
+
 import pytest
 
 from veinprune import (
     NotAChain,
     Poset,
+    SetFamily,
     TooLarge,
     UnknownLabel,
     all_chains,
@@ -15,6 +20,7 @@ from veinprune import (
     is_vein,
     maximal_irreducible_chains,
     maximal_veins,
+    oracle,
     strict_veins,
     vein_family,
 )
@@ -152,3 +158,24 @@ def test_components_equal_maximal_veins(fx):
     for p in fx.values():
         comps = set(vein_family(p).components())
         assert comps == {frozenset(v) for v in maximal_veins(p)}
+
+
+def test_cross_checks_live_in_the_oracle():
+    # the oracle must not depend on the fast route it checks, and the fast
+    # modules hold no exhaustive cross-check
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    relative = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            relative.update([node.module] if node.module
+                            else [alias.name for alias in node.names])
+    assert relative <= {"poset", "connectivity", "errors"}
+    moved = ("check_covering_characterization", "all_chains",
+             "irreducible_chain_family", "maximal_irreducible_chains",
+             "star_chain_check", "cover_inheritance_check",
+             "is_filtered_upset", "is_connectivity_exhaustive")
+    owners = (importlib.import_module("veinprune.veins"),
+              importlib.import_module("veinprune.pruning"), Poset, SetFamily)
+    for owner in owners:
+        for name in moved:
+            assert not hasattr(owner, name), (owner, name)
