@@ -29,6 +29,7 @@ veinprune info yp_pruned.json | has "cover pairs: 2"
 
 veinprune iterate yp.txt | has "fixpoint after 1 iteration"
 veinprune iterate r9.txt | has "fixpoint after"
+test "$(veinprune iterate --mode oracle r9.txt)" = "$(veinprune iterate r9.txt)"
 veinprune irr b3.txt | has "preserved under pruning: yes"
 
 veinprune dot b3.txt > b3.dot

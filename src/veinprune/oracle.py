@@ -1,9 +1,9 @@
 """The definition-level route: veins and the pruning order from chains.
 
-Chain irreducibility, strict veins and the pruning order are computed
-literally, by walking cover paths and testing each against the maximal
-chains or the strict veins. Exponential by design, and independent of
-the fast bridge-edge route in :mod:`veinprune.veins` and
+Chain irreducibility, veins, strict veins and the pruning order are
+computed literally, by walking cover paths and testing each against the
+maximal chains or the strict veins. Exponential by design, and
+independent of the fast bridge-edge route in :mod:`veinprune.veins` and
 :mod:`veinprune.pruning`, which is checked against it.
 
 The exhaustive cross-checks live here too: every chain and the
@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .connectivity import SetFamily
-from .errors import TooLarge
+from .errors import EmptySet, TooLarge
 from .poset import Poset, _bits, _dfs_paths, _memoized
 
 
@@ -38,6 +38,20 @@ def is_irreducible_chain(p: Poset, subset: Iterable[str]) -> bool:
         if cm & m and cm & ~m:
             return False
     return True
+
+
+def is_vein(p: Poset, subset: Iterable[str]) -> bool:
+    """True iff the nonempty subset is a convex irreducible chain."""
+    members = set(subset)
+    if not members:
+        raise EmptySet("a vein is a nonempty chain")
+    for x in members:
+        p._i(x)
+    if not p.is_chain(members):
+        return False
+    if not p.is_convex(members):
+        return False
+    return is_irreducible_chain(p, members)
 
 
 def strict_veins(p: Poset) -> list[tuple[str, ...]]:

@@ -10,11 +10,12 @@ The fast route deletes the bridge edges from the cover digraph and takes
 reachability: a maximal chain of [x, y] is a cover path from x to y, and
 it contains a strict vein exactly when two consecutive entries form a
 bridge edge. The pruned poset is closed once from the non-bridge covers,
-and a poset without bridge edges is its own pruning. Witness chains come
-from a mask walk on the pruned poset's covers, guided by its reachability
-(see :func:`pruning_witness`). The definition-level route lives in
-:mod:`veinprune.oracle`; ``prune`` and ``iterate_prune`` reach it with
-``mode="oracle"``.
+and a poset without bridge edges is its own pruning. The definition-level
+route lives in :mod:`veinprune.oracle`; ``prune`` and ``iterate_prune``
+reach it with ``mode="oracle"``. Either route yields the same pruned
+poset, and a pass reports only that poset and the number of relations it
+removed. Witness chains come from one place, :func:`pruning_witness`: a
+mask walk on the pruned poset's covers, guided by its reachability.
 
 Every pass validates its relation in O(n + edges) mask operations: it
 must lie inside the order of the poset and be generated by its edges (the
@@ -24,7 +25,7 @@ a strict partial order; see :func:`_validate_strict_order`.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import oracle
@@ -44,19 +45,16 @@ class PruneWitness:
 
 @dataclass
 class PruneReport:
-    """Everything a single pruning pass produced.
+    """What a single pruning pass produced.
 
-    ``witnesses`` maps each strict pruned pair (x, y) to a witness chain,
-    computed on demand. ``fixpoint_reached_after`` is 0 when the poset was
-    already a fixpoint and None otherwise (a single pass cannot tell more;
-    see :func:`iterate_prune`).
+    ``removed_relations`` counts the strict pairs of ``original`` missing
+    from ``pruned``. The witness chain of a pruned pair comes from
+    :func:`pruning_witness`.
     """
 
     original: Poset
     pruned: Poset
-    witnesses: Mapping[tuple[str, str], PruneWitness]
     removed_relations: int
-    fixpoint_reached_after: int | None
 
 
 @dataclass
@@ -145,41 +143,6 @@ def pruning_witness(p: Poset, x: str, y: str) -> PruneWitness | None:
     return PruneWitness(x=x, y=y, chain=tuple(chain))
 
 
-class _WitnessMap(Mapping):
-    """Lazy map from strict pruned pairs to their witness chains.
-
-    Size and membership are read from the pruning masks ``star``; the
-    sorted key list is built only when the map is iterated. Each lookup
-    runs the witness walk of :func:`pruning_witness`, which costs O(length)
-    mask operations, so nothing is cached here.
-    """
-
-    def __init__(self, poset: Poset, star: tuple[int, ...]):
-        self._poset = poset
-        self._star = star
-
-    def __contains__(self, key) -> bool:
-        index = self._poset._index
-        if not (isinstance(key, tuple) and len(key) == 2
-                and key[0] in index and key[1] in index):
-            return False
-        return bool(self._star[index[key[0]]] >> index[key[1]] & 1)
-
-    def __getitem__(self, key: tuple[str, str]) -> PruneWitness:
-        if key not in self:
-            raise KeyError(key)
-        return pruning_witness(self._poset, key[0], key[1])
-
-    def __iter__(self):
-        labels = self._poset._labels
-        return iter(sorted((labels[i], labels[j])
-                           for i, row in enumerate(self._star)
-                           for j in _bits(row)))
-
-    def __len__(self) -> int:
-        return sum(row.bit_count() for row in self._star)
-
-
 def _validate_strict_order(p: Poset, star: tuple[int, ...],
                            gen: Sequence[int]) -> None:
     """Fail loudly unless ``star`` is a strict partial order.
@@ -234,56 +197,32 @@ def _validate_strict_order(p: Poset, star: tuple[int, ...],
             "which its generating pairs do not imply")
 
 
-_Route = Callable[[Poset], tuple[tuple[int, ...], Sequence[int]]]
-
-
-def _fast_route(p: Poset) -> tuple[tuple[int, ...], list[int]]:
-    return _star_above(p), _non_bridge_covers(p)
-
-
-def _oracle_route(p: Poset) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    star = oracle._star_above(p)
-    return star, star
-
-
-def _route(mode: str) -> _Route:
-    """The route behind a ``mode`` name: p to (star, generating edges)."""
-    if mode == "fast":
-        return _fast_route
-    if mode == "oracle":
-        return _oracle_route
-    raise ValueError(f"mode must be 'fast' or 'oracle', got {mode!r}")
-
-
-def _prune(p: Poset, route: _Route) -> PruneReport:
-    star, gen = route(p)
-    _validate_strict_order(p, star, gen)
-    # the fast route's poset is already built: star is its order
-    pruned = _pruned(p) if route is _fast_route else Poset(p._labels, gen)
-    removed = (sum(m.bit_count() for m in p._above)
-               - sum(m.bit_count() for m in star))
-    return PruneReport(
-        original=p,
-        pruned=pruned,
-        witnesses=_WitnessMap(p, star),
-        removed_relations=removed,
-        fixpoint_reached_after=0 if pruned == p else None,
-    )
 
 
 def prune(p: Poset, mode: str = "fast") -> PruneReport:
     """One pruning pass: the poset whose strict order is x <* y.
 
-    ``fast`` deletes the bridge edges and takes reachability; ``oracle``
+    ``fast`` deletes the bridge edges and takes reachability; its pruned
+    poset is built once per poset, from the non-bridge covers, and a
+    poset without bridge edges is returned as its own pruning. ``oracle``
     tests every strict pair through :mod:`veinprune.oracle`. Either way
-    the witnesses come from the mask walk of :func:`pruning_witness`,
-    which finds the oracle's chains. The computed relation is validated
-    as a strict partial order and InternalOrderViolation is raised on any
-    breach. The fast route's pruned poset is built once per poset, from
-    the non-bridge covers; a poset without bridge edges is returned as
-    its own pruning.
+    the computed relation is validated as a strict partial order, and
+    InternalOrderViolation is raised on any breach. Witness chains come
+    from :func:`pruning_witness`.
     """
-    return _prune(p, _route(mode))
+    if mode == "fast":
+        star = _star_above(p)
+        _validate_strict_order(p, star, _non_bridge_covers(p))
+        pruned = _pruned(p)
+    elif mode == "oracle":
+        star = oracle._star_above(p)
+        _validate_strict_order(p, star, star)
+        pruned = Poset(p._labels, star)
+    else:
+        raise ValueError(f"mode must be 'fast' or 'oracle', got {mode!r}")
+    removed = (sum(m.bit_count() for m in p._above)
+               - sum(m.bit_count() for m in star))
+    return PruneReport(original=p, pruned=pruned, removed_relations=removed)
 
 
 def iterate_prune(p: Poset, max_iters: int = 4, mode: str = "fast") -> PruneIteration:
@@ -294,10 +233,11 @@ def iterate_prune(p: Poset, max_iters: int = 4, mode: str = "fast") -> PruneIter
     ``max_iters`` was hit first). Finite posets stabilize at index 0 or 1.
     An unknown ``mode`` raises ValueError even when ``max_iters`` is 0.
     """
-    route = _route(mode)
+    if mode not in ("fast", "oracle"):
+        raise ValueError(f"mode must be 'fast' or 'oracle', got {mode!r}")
     seq = [p]
     for _ in range(max_iters):
-        nxt = _prune(seq[-1], route).pruned
+        nxt = prune(seq[-1], mode).pruned
         seq.append(nxt)
         if nxt == seq[-2]:
             return PruneIteration(posets=seq, fixpoint_index=len(seq) - 2)

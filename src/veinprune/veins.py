@@ -5,8 +5,9 @@ a vein is an irreducible convex chain. Two-element veins coincide with
 bridge edges of the cover digraph (cover pairs (x, y) where y is the only
 upper cover of x and x the only lower cover of y), and longer veins are
 exactly the saturated runs of consecutive bridge edges. That gives the
-fast enumeration here. The definition-level route lives in
-:mod:`veinprune.oracle`; ``strict_veins(p, mode="oracle")`` reaches it.
+fast enumeration and the fast vein test here. The definition-level route
+lives in :mod:`veinprune.oracle`; ``strict_veins(p, mode="oracle")``
+reaches it.
 """
 
 from __future__ import annotations
@@ -15,23 +16,28 @@ from collections.abc import Iterable
 
 from . import oracle
 from .connectivity import SetFamily
-from .errors import EmptySet
-from .oracle import is_irreducible_chain
+from .errors import EmptySet, NotAChain
 from .poset import Poset, _memoized
 
 
 def is_vein(p: Poset, subset: Iterable[str]) -> bool:
-    """True iff the nonempty subset is a convex irreducible chain."""
+    """True iff the nonempty subset is a convex irreducible chain.
+
+    Every singleton is a vein. A larger subset is one exactly when it is a
+    chain whose consecutive members, ascending, form bridge edges: the
+    strict veins are the runs of consecutive bridge edges. That costs
+    O(|subset|) once the bridge edges are known;
+    :func:`veinprune.oracle.is_vein` decides from the definition.
+    """
     members = set(subset)
     if not members:
         raise EmptySet("a vein is a nonempty chain")
-    for x in members:
-        p._i(x)
-    if not p.is_chain(members):
+    try:
+        seq = [p._i(x) for x in p.as_chain(members)]
+    except NotAChain:
         return False
-    if not p.is_convex(members):
-        return False
-    return is_irreducible_chain(p, members)
+    bridges = _bridge_pairs_ix(p)
+    return all(pair in bridges for pair in zip(seq, seq[1:]))
 
 
 # ----------------------------------------------------------------------

@@ -229,6 +229,16 @@ def test_bridges_are_the_two_element_veins(p):
     assert twos == set(bridge_edges(p))
 
 
+@given(st.one_of(posets(max_size=5), ladders(max_size=7)), st.data())
+def test_is_vein_matches_the_definition(p, data):
+    twin = ref.mirror(p)
+    subset = data.draw(st.sets(st.sampled_from(p.labels), min_size=1),
+                       label="subset")
+    assert is_vein(p, subset) == twin.is_vein(subset)
+    for chain in twin.all_chains():
+        assert is_vein(p, chain) == twin.is_vein(chain)
+
+
 @given(posets())
 def test_maximal_veins_partition(p):
     seen: set[str] = set()

@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import gc
 import weakref
+from dataclasses import fields
 
 import pytest
 
+import veinprune.pruning
 from veinprune import (
     InternalOrderViolation,
     Poset,
     PreconditionViolated,
+    PruneReport,
     UnknownLabel,
     antichain_poset,
     cover_inheritance_check,
@@ -88,52 +91,30 @@ def test_witness_agrees_across_modes(fx):
                 assert (w.chain if w else None) == oracle.clean_chain(p, x, y)
 
 
-def test_witness_map_chains_are_the_oracle_chains(fx):
-    for p in fx.values():
-        witnesses = prune(p).witnesses
-        assert set(witnesses) == {
-            (x, y) for x in p.labels for y in p.labels
-            if oracle.clean_chain(p, x, y) is not None}
-        for x, y in witnesses:
-            assert witnesses[x, y].chain == oracle.clean_chain(p, x, y)
-
-
 def test_prune_c3(c3):
     report = prune(c3)
     assert report.original == c3
     assert report.pruned == antichain_poset(3)
     assert report.pruned.relations() == ()
     assert report.removed_relations == 3
-    assert report.fixpoint_reached_after is None
-    assert not report.witnesses
+    assert all(pruning_witness(c3, x, y) is None for x, y in c3.relations())
 
 
 def test_prune_yp(yp):
     report = prune(yp)
     assert report.pruned.relations() == (("b", "c"), ("b", "d"))
     assert report.removed_relations == 3
-    assert set(report.witnesses) == {("b", "c"), ("b", "d")}
-    assert report.witnesses[("b", "c")].chain == ("b", "c")
-    assert report.witnesses[("b", "d")].chain == ("b", "d")
-    assert report.fixpoint_reached_after is None
-
-
-def test_witness_map_reads_membership_from_the_pruned_order(yp):
-    witnesses = prune(yp).witnesses
-    assert ("b", "c") in witnesses
-    for key in [("a", "b"), ("c", "b"), ("b", "b"), ("b", "zz"), ("b",), "bc"]:
-        assert key not in witnesses
-        with pytest.raises(KeyError):
-            witnesses[key]
-    assert dict(witnesses) == {key: witnesses[key] for key in witnesses}
+    assert {(x, y) for x, y in yp.relations()
+            if pruning_witness(yp, x, y)} == {("b", "c"), ("b", "d")}
+    assert pruning_witness(yp, "b", "c").chain == ("b", "c")
+    assert pruning_witness(yp, "b", "d").chain == ("b", "d")
 
 
 def test_prune_b3_fixed(b3):
     report = prune(b3)
     assert report.pruned == b3
     assert report.removed_relations == 0
-    assert report.fixpoint_reached_after == 0
-    assert len(report.witnesses) == len(b3.relations())
+    assert all(pruning_witness(b3, x, y) for x, y in b3.relations())
 
 
 def test_a_bridge_free_poset_prunes_to_itself(b3):
@@ -144,7 +125,6 @@ def test_a_bridge_free_poset_prunes_to_itself(b3):
     for q in (b3, once):
         report = prune(q)
         assert report.pruned is q
-        assert report.fixpoint_reached_after == 0
         assert report.removed_relations == 0
 
 
@@ -218,6 +198,27 @@ def test_iterate_prune_cap(c3):
 def test_iterate_prune_rejects_unknown_mode_without_iterating(c3):
     with pytest.raises(ValueError):
         iterate_prune(c3, max_iters=0, mode="quick")
+    with pytest.raises(ValueError, match="got 'quick'"):
+        prune(c3, mode="quick")
+
+
+def test_a_pass_reports_only_its_poset_and_removed_count():
+    assert [f.name for f in fields(PruneReport)] == \
+        ["original", "pruned", "removed_relations"]
+
+
+def test_pruned_partial_order_fails_a_pruning_that_keeps_its_bridges(
+        monkeypatch):
+    # every pruned poset is an order by construction; only its covers can
+    # tell that the bridge edges were not deleted
+    monkeypatch.setattr(veinprune.pruning, "_non_bridge_covers",
+                        lambda p: list(p._ucov))
+    fresh_yp = Poset.from_relations(
+        "abcd", [("a", "b"), ("b", "c"), ("b", "d")])  # nothing memoized
+    outcome = suite._pruned_partial_order([fresh_yp])
+    assert outcome.checked == 1
+    assert not outcome.ok
+    assert "non-bridge covers" in outcome.smallest().detail
 
 
 # a < b < c, so element a has index 0, b index 1 and c index 2

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from veinprune import (
+    EmptySet,
     NotAChain,
     Poset,
     SetFamily,
@@ -65,13 +66,20 @@ def test_covering_characterization_guard():
     assert check_covering_characterization(wide, {"x0"}, max_maximal_chains=17)
 
 
-def test_is_vein(yp, b3):
-    assert is_vein(yp, {"a", "b"})
-    assert not is_vein(yp, {"a", "b", "c"})   # (a, b, d) meets it without containing it
-    assert is_vein(yp, {"c"})
-    assert not is_vein(b3, {"{}", "{1}"})
-    # non-chains and non-convex sets are simply not veins, no error
-    assert not is_vein(yp, {"c", "d"})
+def test_is_vein(yp, b3, c3):
+    # the fast test and the definition give the same verdicts and errors
+    for vein in (is_vein, oracle.is_vein):
+        assert vein(yp, {"a", "b"})
+        assert not vein(yp, {"a", "b", "c"})   # (a, b, d) meets it without containing it
+        assert vein(yp, {"c"})
+        assert not vein(b3, {"{}", "{1}"})
+        # non-chains and non-convex sets are simply not veins, no error
+        assert not vein(yp, {"c", "d"})
+        assert not vein(c3, {"a", "c"})
+        with pytest.raises(EmptySet):
+            vein(yp, set())
+        with pytest.raises(UnknownLabel):
+            vein(yp, {"a", "zz"})
 
 
 def test_bridge_edges(yp, c3, b3, vee):
