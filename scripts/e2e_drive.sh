@@ -18,6 +18,11 @@ veinprune info yp.txt | has "elements: 4"
 veinprune info b3.txt | has "maximal chains: 6"
 # a fence is conditionally complete, and linear to check
 veinprune gen fence --size 20000 | veinprune info - | has "conditionally complete: yes"
+# so is a ladder of 1000 diamonds: each meet is a short walk down the covers
+for i in $(seq 1000); do
+  echo "b$((i-1)) < l$i"; echo "b$((i-1)) < r$i"
+  echo "l$i < b$i"; echo "r$i < b$i"
+done | veinprune info - | has "conditionally complete: yes"
 veinprune veins yp.txt | has "strict veins (1):"
 veinprune veins yp.txt | has "  a b"
 # the definition-level route prints what the fast route prints

@@ -5,8 +5,10 @@ filter (up-closed and down-directed; the empty set counts as a filter).
 Coirreducible is the same notion in the opposite poset. In a conditionally
 complete poset, irreducibility is equivalent to never being a proper meet:
 x = meet(a, b) forces x in {a, b}; the proper meets come from the poset's
-one scan, which also decides completeness. Pruning a finite conditionally
-complete poset leaves both classes of elements unchanged.
+one scan, which also decides completeness and finds each meet by walking
+down the covers. Pruning a finite conditionally complete poset leaves
+both classes of elements unchanged: :func:`preservation_report` prunes
+once and compares the profiles of every element.
 
 In a finite poset, x is irreducible iff it has at most one upper cover.
 The strict upper set of x is always up-closed. If c is the only upper
@@ -100,42 +102,24 @@ def is_irreducible_via_meet(p: Poset, x: str) -> bool:
 
 @dataclass
 class PreservationReport:
-    """Irreducibility before and after one pruning pass."""
+    """One pruning pass and whether it kept every irreducibility flag."""
 
     original: Poset
     pruned: Poset
-    original_profiles: dict[str, IrreducibilityProfile]
-    pruned_profiles: dict[str, IrreducibilityProfile]
-    hypothesis_met: bool
     preserved: bool
 
 
-def preservation_report(p: Poset,
-                        allow_incomplete: bool = False) -> PreservationReport:
-    """Compare irreducibility in p and in its pruning.
+def preservation_report(p: Poset) -> PreservationReport:
+    """Prune p once and compare the irreducibility profiles.
 
     For finite conditionally complete posets the irreducible and
-    coirreducible elements are the same before and after pruning. When the
-    poset is not conditionally complete, NotConditionallyComplete is
-    raised unless ``allow_incomplete`` is set, in which case the report is
-    still computed for exploration with ``hypothesis_met`` False.
+    coirreducible elements are the same before and after pruning, so
+    ``preserved`` is True there. Raises NotConditionallyComplete when p is
+    not conditionally complete, since nothing is asserted then.
     """
-    met = p.is_conditionally_complete()
-    if not met and not allow_incomplete:
+    if not p.is_conditionally_complete():
         raise NotConditionallyComplete(
             "preservation is only asserted for conditionally complete posets")
     pruned = prune(p).pruned
-    before = profiles(p)
-    after = profiles(pruned)
-    preserved = all(
-        before[x].irreducible == after[x].irreducible
-        and before[x].coirreducible == after[x].coirreducible
-        for x in p.labels)
-    return PreservationReport(
-        original=p,
-        pruned=pruned,
-        original_profiles=before,
-        pruned_profiles=after,
-        hypothesis_met=met,
-        preserved=preserved,
-    )
+    return PreservationReport(original=p, pruned=pruned,
+                              preserved=profiles(p) == profiles(pruned))

@@ -129,7 +129,7 @@ class Poset:
     """
 
     __slots__ = ("_labels", "_index", "_above", "_below", "_ucov", "_dcov",
-                 "_hash", "_memo")
+                 "_memo")
 
     def __init__(self, labels: tuple[str, ...], adj: Sequence[int]):
         """Close ``adj`` into the order in O(n + edges) mask operations.
@@ -166,7 +166,6 @@ class Poset:
         self._below = tuple(below)
         self._ucov = tuple(ucov)
         self._dcov = tuple(dcov)
-        self._hash = None
         self._memo: dict = {}
 
     # ------------------------------------------------------------------
@@ -243,10 +242,9 @@ class Poset:
             return NotImplemented
         return self._labels == other._labels and self._above == other._above
 
+    @_memoized
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self._labels, self._above))
-        return self._hash
+        return hash((self._labels, self._above))
 
     def __repr__(self) -> str:
         n = len(self._labels)
@@ -425,41 +423,46 @@ class Poset:
     # ------------------------------------------------------------------
     # bounds
 
-    def _unique_maximal(self, mask: int) -> int | None:
-        """Index of the maximum of the set ``mask``, or None.
+    def _greatest(self, a: int, bound: int, up: bool = False) -> int | None:
+        """Index of the greatest member of ``bound``, or None if it has none.
 
-        In a finite poset a set has a maximum iff it has exactly one
-        maximal element.
+        ``bound`` is a mask of lower bounds of a, and ↓x is the closed
+        down-set of x. The walk goes down the covers from x = a, stepping to
+        a lower cover c of x with ``bound`` inside ↓c. So ``bound`` stays
+        inside ↓x, and once x lies in ``bound`` it is the greatest member.
+        If the greatest member m exists and x is not in ``bound``, then
+        m < x, so m lies below some lower cover c of x, and ↓c holds ↓m,
+        which holds ``bound``: the walk stops without an answer only when
+        there is none. With ``up``, the same walk on upper covers and
+        up-sets finds the least member of a set of upper bounds.
         """
-        found = None
-        for i in _bits(mask):
-            if not self._above[i] & mask:
-                if found is not None:
-                    return None
-                found = i
-        return found
-
-    def _unique_minimal(self, mask: int) -> int | None:
-        found = None
-        for i in _bits(mask):
-            if not self._below[i] & mask:
-                if found is not None:
-                    return None
-                found = i
-        return found
+        if not bound & (bound - 1):  # empty, or its own answer
+            return bound.bit_length() - 1 if bound else None
+        far = self._above if up else self._below
+        near = self._ucov if up else self._dcov
+        x = a
+        while not bound >> x & 1:
+            for c in _bits(near[x]):
+                rest = bound & ~far[c]
+                if not rest or rest == 1 << c:
+                    x = c
+                    break
+            else:
+                return None
+        return x
 
     def meet(self, a: str, b: str) -> str | None:
         """Greatest lower bound of a and b, or None when it does not exist."""
         ia, ib = self._i(a), self._i(b)
         lower = ((self._below[ia] | 1 << ia) & (self._below[ib] | 1 << ib))
-        top = self._unique_maximal(lower)
+        top = self._greatest(ia, lower)
         return None if top is None else self._labels[top]
 
     def join(self, a: str, b: str) -> str | None:
         """Least upper bound of a and b, or None when it does not exist."""
         ia, ib = self._i(a), self._i(b)
         upper = ((self._above[ia] | 1 << ia) & (self._above[ib] | 1 << ib))
-        bot = self._unique_minimal(upper)
+        bot = self._greatest(ia, upper, up=True)
         return None if bot is None else self._labels[bot]
 
     def _incomparable_above(self, a: int) -> int:
@@ -495,15 +498,16 @@ class Poset:
         None when a pair with a common lower bound has no meet; the scan
         stops there, and sparse posets often fail within a few pairs. The
         common lower bounds ↓a ∩ ↓b are searched for a maximum once per
-        distinct set; a set with a maximum m is ↓m, so there are at most
-        n + 1 searches.
+        distinct set, by a walk down the covers from a
+        (:meth:`_greatest`); a set with a maximum m is ↓m, so there are at
+        most n + 1 searches.
         """
         below = self._below
         maxima: dict[int, int] = {}
         for a, b in self._pairs_sharing_a_lower_bound():
             lower = below[a] & below[b]
             if lower not in maxima:
-                top = self._unique_maximal(lower)
+                top = self._greatest(a, lower)
                 if top is None:
                     return None
                 maxima[lower] = top

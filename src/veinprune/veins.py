@@ -91,9 +91,10 @@ def strict_veins(p: Poset, mode: str = "fast") -> list[tuple[str, ...]]:
         raise ValueError(f"mode must be 'fast' or 'oracle', got {mode!r}")
     out = []
     for path in _bridge_paths_ix(p):
-        for lo in range(len(path)):
-            for hi in range(lo + 2, len(path) + 1):
-                out.append(tuple(p._labels[k] for k in path[lo:hi]))
+        run = [p._labels[k] for k in path]
+        for lo in range(len(run)):
+            for hi in range(lo + 2, len(run) + 1):
+                out.append(tuple(run[lo:hi]))
     return sorted(out)
 
 

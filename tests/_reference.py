@@ -36,6 +36,7 @@ class P:
     def __init__(self, elements, pairs):
         self.E = frozenset(elements)
         self.R = close(elements, pairs)
+        self._maximal = None  # maximal_chains(), enumerated once
 
     def leq(self, x, y):
         return x == y or (x, y) in self.R
@@ -73,8 +74,11 @@ class P:
         return out
 
     def maximal_chains(self):
-        chains = self.all_chains()
-        return [c for c in chains if not any(c < d for d in chains)]
+        if self._maximal is None:
+            chains = self.all_chains()
+            self._maximal = [c for c in chains
+                             if not any(c < d for d in chains)]
+        return self._maximal
 
     def is_irreducible_chain(self, c):
         c = frozenset(c)

@@ -12,6 +12,7 @@ from veinprune import (
     is_irreducible_via_meet,
     preservation_report,
     profiles,
+    prune,
 )
 
 
@@ -89,23 +90,16 @@ def test_meet_characterization_on_fixtures(fx):
 def test_preservation_report(c3, b3, yp):
     for p in (c3, b3, yp):
         rep = preservation_report(p)
-        assert rep.hypothesis_met
         assert rep.preserved
         assert rep.original == p
-        assert len(rep.original_profiles) == len(p)
-        assert len(rep.pruned_profiles) == len(p)
+        assert rep.pruned == prune(p).pruned
 
 
 def test_preservation_requires_completeness(bowtie):
     with pytest.raises(NotConditionallyComplete):
         preservation_report(bowtie)
-    rep = preservation_report(bowtie, allow_incomplete=True)
-    assert not rep.hypothesis_met  # computed anyway, flagged as out of scope
 
 
 def test_profiles_stable_under_pruning(fx):
     for p in fx.values():
-        rep = preservation_report(p)
-        for x, pr in rep.pruned_profiles.items():
-            assert rep.original_profiles[x].irreducible == pr.irreducible
-            assert rep.original_profiles[x].coirreducible == pr.coirreducible
+        assert profiles(prune(p).pruned) == profiles(p)

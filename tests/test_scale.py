@@ -272,6 +272,18 @@ def test_meet_irreducibility_on_fence():
     assert elapsed < 0.25
 
 
+def test_bounds_on_long_diamond_ladder():
+    p = ladder(1000)
+    started = time.perf_counter()
+    assert p.is_conditionally_complete()
+    assert p.meet("l1000", "r1000") == "b999"
+    assert p.join("l01", "r01") == "b01"
+    elapsed = time.perf_counter() - started
+    # measured 7-12 ms on a 2-vCPU host; scanning every set of common lower
+    # bounds for its maximal elements took about 1 s
+    assert elapsed < 0.25
+
+
 def test_completeness_fails_fast_on_complete_bipartite():
     lower = [f"l{i:04d}" for i in range(1000)]
     upper = [f"u{i:04d}" for i in range(1000)]
