@@ -178,6 +178,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     kind = args.kind
+    if args.edge_prob is not None and kind != "random":
+        raise InvalidSpec("--edge-prob only applies to kind 'random'")
     if kind in families.FIXTURE_NAMES:
         spec = families.GenSpec(kind="named", name=kind)
     elif kind == "random":
@@ -185,8 +187,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         spec = families.GenSpec(kind="random", size=args.size,
                                 seed=args.seed, edge_prob=prob)
     else:
-        if args.edge_prob is not None:
-            raise InvalidSpec("--edge-prob only applies to kind 'random'")
         spec = families.GenSpec(kind=kind, size=args.size, seed=args.seed)
     poset = families.generate(spec)
     name = kind if kind in families.FIXTURE_NAMES else None

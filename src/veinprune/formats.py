@@ -101,6 +101,10 @@ def emit_text(doc: PosetDocument) -> str:
                 f"label {label!r} is not representable in the text format")
     lines = []
     if doc.name:
+        if doc.name.splitlines() != [doc.name]:
+            # the comment line would end early and the rest parse as statements
+            raise ParseError(
+                f"name {doc.name!r} is not representable in the text format")
         lines.append(f"# {doc.name}")
     touched = {lab for pair in doc.covers for lab in pair}
     for label in sorted(doc.elements):

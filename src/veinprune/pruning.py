@@ -17,15 +17,15 @@ poset, and a pass reports only that poset and the number of relations it
 removed. Witness chains come from one place, :func:`pruning_witness`: a
 mask walk on the pruned poset's covers, guided by its reachability.
 
-Every pass validates its relation in O(n + edges) mask operations: it
-must lie inside the order of the poset and be generated by its edges (the
-non-bridge covers, or the relation itself for the oracle), which makes it
-a strict partial order; see :func:`_validate_strict_order`.
+Only the oracle's relation is checked. It is tested pair by pair, so
+nothing makes it an order, and :func:`_oracle_pruned` raises
+InternalOrderViolation unless it is a strict order inside the poset. The
+fast route's pruned poset is an order by construction and is not checked
+again.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import oracle
@@ -96,15 +96,10 @@ def _pruned(p: Poset) -> Poset:
     return p if q is None else q
 
 
-def _star_above(p: Poset) -> tuple[int, ...]:
-    """Strict pruning-order reachability masks (the fast route)."""
-    return _pruned(p)._above
-
-
 def pruning_leq(p: Poset, x: str, y: str) -> bool:
     """True iff x <=* y in the pruning order."""
     ix, iy = p._i(x), p._i(y)
-    return ix == iy or bool(_star_above(p)[ix] >> iy & 1)
+    return ix == iy or bool(_pruned(p)._above[ix] >> iy & 1)
 
 
 def pruning_witness(p: Poset, x: str, y: str) -> PruneWitness | None:
@@ -143,27 +138,19 @@ def pruning_witness(p: Poset, x: str, y: str) -> PruneWitness | None:
     return PruneWitness(x=x, y=y, chain=tuple(chain))
 
 
-def _validate_strict_order(p: Poset, star: tuple[int, ...],
-                           gen: Sequence[int]) -> None:
-    """Fail loudly unless ``star`` is a strict partial order.
+def _oracle_pruned(p: Poset) -> Poset:
+    """The pruned poset of the oracle route, built once its relation is checked.
 
-    ``star[i]`` is the mask of elements pruning-above element i, and
-    ``gen`` is a set of edges that should generate it. Two checks, in
-    O(n + edges) mask operations, raise InternalOrderViolation:
+    Two checks, in O(n + relations) mask operations, raise
+    InternalOrderViolation:
 
     1. ``star[i]`` is a subset of ``p._above[i]``. The order of p is
-       irreflexive and acyclic, so star is too.
-    2. ``star[i]`` equals the union of {g} and ``star[g]`` over g in
-       ``gen[i]``. Given 1, star is then transitive: star[j] lies within
-       star[i] for every j in star[i]. By induction on i from the top of
-       p (a maximal i has empty star[i]): j lies in {g} or star[g] for
-       some g in gen[i], and star[g] is within star[i] by 2. If j = g
-       that is the claim. Otherwise g, which lies in star[i] by 2, is
-       above i in p by 1, so star[j] is within star[g] by induction.
-
-    The oracle route passes ``gen = star``, which makes 2 the plain
-    transitivity test.
+       irreflexive and acyclic, so star is too, and a cyclic relation
+       never reaches the Poset constructor as a CycleDetected.
+    2. ``star[g]`` is a subset of ``star[i]`` for every g in ``star[i]``:
+       star is transitive, so closing it adds nothing.
     """
+    star = oracle._star_above(p)
     labels = p._labels
     for i, (row, above) in enumerate(zip(star, p._above)):
         if row & ~above:
@@ -175,53 +162,35 @@ def _validate_strict_order(p: Poset, star: tuple[int, ...],
                 f"pruning produced {labels[i]!r} <* {labels[j]!r}, "
                 "which the poset lacks")
     for i, row in enumerate(star):
-        acc = gen[i]
-        for g in _bits(gen[i]):
-            acc |= star[g]
-        if acc == row:
-            continue
-        for g in _bits(gen[i]):
-            k = next(_bits(((1 << g) | star[g]) & ~row), None)
-            if k == g:
-                raise InternalOrderViolation(
-                    "pruning dropped its generating pair "
-                    f"{labels[i]!r} <* {labels[g]!r}")
-            if k is not None:
+        for g in _bits(row):
+            if star[g] & ~row:
+                k = next(_bits(star[g] & ~row))
                 raise InternalOrderViolation(
                     "pruning broke transitivity: "
                     f"{labels[i]!r} <* {labels[g]!r} <* {labels[k]!r} "
                     f"but not {labels[i]!r} <* {labels[k]!r}")
-        k = next(_bits(row & ~acc))
-        raise InternalOrderViolation(
-            f"pruning produced {labels[i]!r} <* {labels[k]!r}, "
-            "which its generating pairs do not imply")
-
-
+    return Poset(labels, star)
 
 
 def prune(p: Poset, mode: str = "fast") -> PruneReport:
     """One pruning pass: the poset whose strict order is x <* y.
 
-    ``fast`` deletes the bridge edges and takes reachability; its pruned
-    poset is built once per poset, from the non-bridge covers, and a
-    poset without bridge edges is returned as its own pruning. ``oracle``
-    tests every strict pair through :mod:`veinprune.oracle`. Either way
-    the computed relation is validated as a strict partial order, and
-    InternalOrderViolation is raised on any breach. Witness chains come
-    from :func:`pruning_witness`.
+    ``fast`` deletes the bridge edges and closes the remaining covers; its
+    pruned poset is built once per poset, and a poset without bridge edges
+    is returned as its own pruning. ``oracle`` tests every strict pair
+    through :mod:`veinprune.oracle` and checks that the relation is a
+    strict order inside p before building it, raising
+    InternalOrderViolation on any breach. Witness chains come from
+    :func:`pruning_witness`.
     """
     if mode == "fast":
-        star = _star_above(p)
-        _validate_strict_order(p, star, _non_bridge_covers(p))
         pruned = _pruned(p)
     elif mode == "oracle":
-        star = oracle._star_above(p)
-        _validate_strict_order(p, star, star)
-        pruned = Poset(p._labels, star)
+        pruned = _oracle_pruned(p)
     else:
         raise ValueError(f"mode must be 'fast' or 'oracle', got {mode!r}")
     removed = (sum(m.bit_count() for m in p._above)
-               - sum(m.bit_count() for m in star))
+               - sum(m.bit_count() for m in pruned._above))
     return PruneReport(original=p, pruned=pruned, removed_relations=removed)
 
 

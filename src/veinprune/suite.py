@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 
 from . import families, formats, oracle, pruning, veins
-from .errors import InternalOrderViolation, PreconditionViolated, TooLarge
+from .errors import PreconditionViolated, TooLarge
 from .irreducibles import is_irreducible, is_irreducible_via_meet, preservation_report
 from .poset import Poset, _bits
 
@@ -97,44 +97,21 @@ def _pruned_partial_order(posets: list[Poset]) -> CheckOutcome:
     out = CheckOutcome("pruned_partial_order")
     for p in posets:
         out.checked += 1
-        try:
-            q = pruning.prune(p).pruned
-        except InternalOrderViolation as exc:
-            _offend(out, p, f"prune rejected its own output: {exc}")
-            continue
+        rep = pruning.prune(p)
+        q = rep.pruned
         if q.elements != p.elements:
             _offend(out, p, "pruning changed the element set")
             continue
         # a cover of p stays a cover in the smaller order, and every cover
-        # of the pruned poset is one of the non-bridge covers
+        # of the pruned poset is one of the non-bridge covers; so the
+        # pruned order lies inside the order of p
         expected = set(p.covers) - veins.bridge_edges(p)
         got = set(q.covers)
         if got != expected:
             _offend(out, p,
                     f"pruned covers {sorted(got)} are not the non-bridge "
                     f"covers {sorted(expected)}")
-    return out
-
-
-def _prune_idempotent(posets: list[Poset]) -> CheckOutcome:
-    out = CheckOutcome("prune_idempotent")
-    for p in posets:
-        out.checked += 1
-        once = pruning.prune(p).pruned
-        if pruning.prune(once).pruned != once:
-            _offend(out, p, "prune(prune(P)) differs from prune(P)")
-    return out
-
-
-def _prune_shrinks(posets: list[Poset]) -> CheckOutcome:
-    out = CheckOutcome("prune_shrinks")
-    for p in posets:
-        out.checked += 1
-        rep = pruning.prune(p)
-        kept = set(rep.pruned.relations())
-        if not kept <= set(p.relations()):
-            _offend(out, p, "pruning introduced a relation")
-        elif rep.removed_relations != len(p.relations()) - len(kept):
+        elif rep.removed_relations != len(p.relations()) - len(q.relations()):
             _offend(out, p, "removed_relations does not match the relation sets")
     return out
 
@@ -153,8 +130,9 @@ def _iterate_reaches_fixpoint(posets: list[Poset]) -> CheckOutcome:
     for p in posets:
         out.checked += 1
         run = pruning.iterate_prune(p)
-        if run.fixpoint_index is None or run.fixpoint_index > 1:
-            _offend(out, p, f"fixpoint index {run.fixpoint_index}, expected 0 or 1")
+        if run.fixpoint_index not in (0, 1):
+            _offend(out, p, f"fixpoint index {run.fixpoint_index}, expected "
+                            "0 or 1: prune(prune(P)) differs from prune(P)")
     return out
 
 
@@ -419,8 +397,6 @@ def run_suite(seed: int = 42, count: int = 100,
         _closure_roundtrip(main),
         _serialization_roundtrip(main),
         _pruned_partial_order(main),
-        _prune_idempotent(main),
-        _prune_shrinks(main),
         _prune_opposite_commutes(main),
         _iterate_reaches_fixpoint(main),
         _vein_modes_agree(main),

@@ -37,6 +37,7 @@ class P:
         self.E = frozenset(elements)
         self.R = close(elements, pairs)
         self._maximal = None  # maximal_chains(), enumerated once
+        self._strict = None  # strict_veins(), enumerated once
 
     def leq(self, x, y):
         return x == y or (x, y) in self.R
@@ -93,7 +94,9 @@ class P:
         return [c for c in self.all_chains() if self.is_vein(c)]
 
     def strict_veins(self):
-        return [v for v in self.veins() if len(v) >= 2]
+        if self._strict is None:
+            self._strict = [v for v in self.veins() if len(v) >= 2]
+        return self._strict
 
     def maximal_veins(self):
         vs = self.veins()

@@ -11,7 +11,6 @@ import pytest
 
 import veinprune
 import veinprune.cli
-import veinprune.pruning
 from veinprune import PosetDocument, emit_text, fixtures
 from veinprune.cli import cli
 
@@ -199,8 +198,21 @@ def test_gen_random_deterministic(capsys):
 
 
 def test_gen_rejects_edge_prob_elsewhere(capsys):
-    assert cli(["gen", "chain", "--size", "3", "--edge-prob", "0.5"]) == 2
-    assert "error:" in capsys.readouterr().err
+    for argv in (["gen", "chain", "--size", "3", "--edge-prob", "0.5"],
+                 ["gen", "C3", "--edge-prob", "0.5"]):
+        assert cli(argv) == 2
+        assert "error:" in capsys.readouterr().err
+
+
+def test_multiline_name_is_input_error(tmp_path, capsys):
+    # written verbatim after '# ', the name would add a relation a < b
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(
+        {"name": "x\na < b", "elements": ["c"], "covers": []}))
+    assert cli(["prune", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not representable in the text format" in captured.err
 
 
 def test_gen_pipes_into_info(capsys, tmp_path):
@@ -253,9 +265,9 @@ def test_invalid_pruning_order_is_a_property_violation(tmp_path, monkeypatch,
     path = tmp_path / "diamond.txt"
     path.write_text("a < b\na < c\nb < d\nc < d\n")
     # a <* b <* d and a <* c <* d, but not a <* d
-    monkeypatch.setattr(veinprune.pruning, "_star_above",
+    monkeypatch.setattr(veinprune.oracle, "_star_above",
                         lambda p: (0b0110, 0b1000, 0b1000, 0b0000))
-    assert cli(["prune", str(path)]) == 1
+    assert cli(["prune", "--mode", "oracle", str(path)]) == 1
     err = capsys.readouterr().err
     assert "broke transitivity" in err and err.count("\n") == 1
 

@@ -79,6 +79,11 @@ def test_emit_text_unrepresentable_label():
     p = Poset.from_relations(["x y", "z"], [("x y", "z")])
     with pytest.raises(ParseError):
         emit_text(PosetDocument.from_poset(p))
+    # nor may the name end its comment line early
+    named = PosetDocument.from_poset(Poset.from_relations(["c"], []),
+                                     name="x\na < b")
+    with pytest.raises(ParseError, match="not representable"):
+        emit_text(named)
     # JSON handles arbitrary labels fine
     doc = parse_json(emit_json(PosetDocument.from_poset(p)))
     assert doc.to_poset() == p

@@ -257,13 +257,16 @@ def test_pruning_modes_agree(p):
                 oracle.pruning_leq(p, x, y)
 
 
-@given(posets())
+@given(st.one_of(posets(), ladders()))
 def test_prune_shrinks_and_stabilizes(p):
     report = prune(p)
     assert set(report.pruned.relations()) <= set(p.relations())
     again = prune(report.pruned)
     assert again.pruned == report.pruned
     assert iterate_prune(p).fixpoint_index in (0, 1)
+    slow = prune(p, mode="oracle")
+    assert slow.pruned == report.pruned
+    assert slow.removed_relations == report.removed_relations
 
 
 @given(posets())
