@@ -36,6 +36,10 @@ veinprune iterate yp.txt | has "fixpoint after 1 iteration"
 veinprune iterate r9.txt | has "fixpoint after"
 test "$(veinprune iterate --mode oracle r9.txt)" = "$(veinprune iterate r9.txt)"
 veinprune irr b3.txt | has "preserved under pruning: yes"
+# preservation is a theorem: irr states it for complete posets, does not
+# prune, and exits 0 on the rest too
+printf 'a < c\na < d\nb < c\nb < d\n' > bowtie.txt
+veinprune irr bowtie.txt | has "conditionally complete: no (preservation not evaluated)"
 
 veinprune dot b3.txt > b3.dot
 grep -q "digraph poset" b3.dot
@@ -45,7 +49,8 @@ test "$(veinprune dot b3.txt)" = "$(cat b3.dot)"
 cat yp.txt | veinprune prune - | veinprune veins - | has "strict veins: none"
 
 VEINPRUNE_SEED=7 veinprune check --count 50 --max-size 9 | has "checks passed (seed 7)"
-# every check of the suite runs
+# every check of the suite runs; irreducible_preservation runs on every
+# poset of the corpus, complete or not
 veinprune check --seed 3 --count 60 --max-size 8 | has "15 checks passed (seed 3)"
 
 # error paths must exit 2
@@ -59,6 +64,11 @@ rc=0; veinprune gen chain --size 3 --edge-prob 0.5 >/dev/null 2>&1 || rc=$?
 test "$rc" -eq 2
 rc=0; veinprune gen C3 --edge-prob 0.5 >/dev/null 2>&1 || rc=$?
 test "$rc" -eq 2
+# an option the kind ignores is an input error
+for opts in "C3 --size 7 --seed 3" "chain --size 3 --seed 99"; do
+  rc=0; veinprune gen $opts >/dev/null 2>&1 || rc=$?
+  test "$rc" -eq 2
+done
 # a name that would break its comment line cannot be written as text
 printf '{"name": "x\\na < b", "elements": ["c"], "covers": []}' > named.json
 rc=0; veinprune prune named.json >/dev/null 2>&1 || rc=$?

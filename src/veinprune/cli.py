@@ -1,7 +1,8 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 property violation (a structural fact failed on
-some input, which should never happen), 2 input error (bad options, an
+Exit codes: 0 success, 1 a failed ``check``, an ``iterate`` that hit
+``--max``, or an InternalOrderViolation (the oracle's pruned relation is
+not an order, which should never happen), 2 input error (bad options, an
 unreadable, malformed or non-UTF-8 file, a cycle), 3 unexpected fault (a
 bug, reported in one line). Diagnostics go to the error stream; document
 output goes to standard output so it can be piped into other commands.
@@ -17,7 +18,7 @@ import sys
 
 from . import families, formats, pruning, suite, veins
 from .errors import InternalOrderViolation, InvalidSpec, VeinpruneError
-from .irreducibles import preservation_report, profiles
+from .irreducibles import profiles
 from .poset import Poset, _bits
 
 
@@ -138,14 +139,9 @@ def _cmd_irr(args: argparse.Namespace) -> int:
               f"{_yn(entry.coirreducible):<13}  {_yn(entry.doubly)}")
     if not p.is_conditionally_complete():
         print("conditionally complete: no (preservation not evaluated)")
-        return 0
-    rep = preservation_report(p)
-    if rep.preserved:
+    else:  # a theorem, proved in the veinprune.irreducibles docstring
         print("preserved under pruning: yes")
-        return 0
-    print("error: irreducibility was not preserved under pruning",
-          file=sys.stderr)
-    return 1
+    return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -178,16 +174,22 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     kind = args.kind
-    if args.edge_prob is not None and kind != "random":
-        raise InvalidSpec("--edge-prob only applies to kind 'random'")
+    # a fixture name is not in KINDS, so it takes none of these options
+    for flag, value, kinds in (
+            ("--size", args.size, families.KINDS),
+            ("--seed", args.seed, ("random", "downset_lattice")),
+            ("--edge-prob", args.edge_prob, ("random",))):
+        if value is not None and kind not in kinds:
+            raise InvalidSpec(f"{flag} does not apply to kind {kind!r}")
+    given = {key: value for key, value in
+             (("size", args.size), ("seed", args.seed)) if value is not None}
     if kind in families.FIXTURE_NAMES:
         spec = families.GenSpec(kind="named", name=kind)
     elif kind == "random":
         prob = 0.3 if args.edge_prob is None else args.edge_prob
-        spec = families.GenSpec(kind="random", size=args.size,
-                                seed=args.seed, edge_prob=prob)
+        spec = families.GenSpec(kind="random", edge_prob=prob, **given)
     else:
-        spec = families.GenSpec(kind=kind, size=args.size, seed=args.seed)
+        spec = families.GenSpec(kind=kind, **given)
     poset = families.generate(spec)
     name = kind if kind in families.FIXTURE_NAMES else None
     doc = formats.PosetDocument.from_poset(poset, name=name)
@@ -262,10 +264,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="chain, antichain, boolean, fence, random, "
                          "downset_lattice, or a fixture name "
                          "(C3, Yp, Vee, B3, A2)")
-    sp.add_argument("--size", type=int, default=1, metavar="N",
+    sp.add_argument("--size", type=int, default=None, metavar="N",
                     help="element count or base size (default: 1)")
-    sp.add_argument("--seed", type=int, default=0, metavar="S",
-                    help="generator seed (default: 0)")
+    sp.add_argument("--seed", type=int, default=None, metavar="S",
+                    help="generator seed for kinds 'random' and "
+                         "'downset_lattice' (default: 0)")
     sp.add_argument("--edge-prob", type=float, default=None, metavar="P",
                     help="edge probability for kind 'random' (default: 0.3)")
 
@@ -274,10 +277,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def cli(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         if isinstance(exc.code, int):
             return exc.code

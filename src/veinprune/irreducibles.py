@@ -6,9 +6,7 @@ Coirreducible is the same notion in the opposite poset. In a conditionally
 complete poset, irreducibility is equivalent to never being a proper meet:
 x = meet(a, b) forces x in {a, b}; the proper meets come from the poset's
 one scan, which also decides completeness and finds each meet by walking
-down the covers. Pruning a finite conditionally complete poset leaves
-both classes of elements unchanged: :func:`preservation_report` prunes
-once and compares the profiles of every element.
+down the covers.
 
 In a finite poset, x is irreducible iff it has at most one upper cover.
 The strict upper set of x is always up-closed. If c is the only upper
@@ -19,6 +17,15 @@ z = c, and likewise z = d: there is none. Dually, x is coirreducible iff
 it has at most one lower cover. The tests below are therefore bit counts
 on the cover masks; :func:`veinprune.oracle.is_filtered_upset` stays the
 definition.
+
+Pruning keeps every element's irreducible and coirreducible flag, in every
+finite poset. The pruned poset's covers are exactly the non-bridge covers
+of p (:func:`veinprune.pruning.pruning_witness`, fact 1). For a bridge
+(i, j), j is the only upper cover of i and i the only lower cover of j, so
+deleting it takes both counts from 1 to 0; it changes no other count, so
+by the cover counts above no flag moves. Completeness is not needed, and
+pruning can lose it, so the meet test does not carry over to the pruned
+poset. :func:`preservation_report` checks the theorem, for the suite.
 """
 
 from __future__ import annotations
@@ -112,14 +119,9 @@ class PreservationReport:
 def preservation_report(p: Poset) -> PreservationReport:
     """Prune p once and compare the irreducibility profiles.
 
-    For finite conditionally complete posets the irreducible and
-    coirreducible elements are the same before and after pruning, so
-    ``preserved`` is True there. Raises NotConditionallyComplete when p is
-    not conditionally complete, since nothing is asserted then.
+    By the theorem in the module docstring, ``preserved`` is True for
+    every finite poset; this is the run-time check of that claim.
     """
-    if not p.is_conditionally_complete():
-        raise NotConditionallyComplete(
-            "preservation is only asserted for conditionally complete posets")
     pruned = prune(p).pruned
     return PreservationReport(original=p, pruned=pruned,
                               preserved=profiles(p) == profiles(pruned))

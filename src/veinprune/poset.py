@@ -216,17 +216,15 @@ class Poset:
     @property
     def covers(self) -> tuple[tuple[str, str], ...]:
         """Cover pairs (x, y) with x covered by y, sorted lexicographically."""
-        out = [(self._labels[i], self._labels[j])
-               for i in range(len(self._labels))
-               for j in _bits(self._ucov[i])]
-        return tuple(sorted(out))
+        return tuple((self._labels[i], self._labels[j])
+                     for i in range(len(self._labels))
+                     for j in _bits(self._ucov[i]))
 
     def relations(self) -> tuple[tuple[str, str], ...]:
         """All strict pairs (x, y) with x < y, sorted lexicographically."""
-        out = [(self._labels[i], self._labels[j])
-               for i in range(len(self._labels))
-               for j in _bits(self._above[i])]
-        return tuple(sorted(out))
+        return tuple((self._labels[i], self._labels[j])
+                     for i in range(len(self._labels))
+                     for j in _bits(self._above[i]))
 
     def __len__(self) -> int:
         return len(self._labels)

@@ -391,8 +391,8 @@ def run_suite(seed: int = 42, count: int = 100,
     main = fixed + families.random_corpus(count, max_size, seed)
     lattices = families.downset_corpus(max(5, count // 10),
                                        min(5, max_size), seed + 1)
-    complete = lattices + [p for p in main if p.is_conditionally_complete()]
-    complete = list(dict.fromkeys(complete))
+    every = list(dict.fromkeys(main + lattices))
+    complete = [p for p in every if p.is_conditionally_complete()]
     outcomes = [
         _closure_roundtrip(main),
         _serialization_roundtrip(main),
@@ -407,7 +407,7 @@ def run_suite(seed: int = 42, count: int = 100,
         _irreducible_chain_connectivity(main),
         _covering_characterization(main),
         _vein_restriction(main, seed),
-        _irreducible_preservation(complete),
+        _irreducible_preservation(every),
         _meet_equivalence(complete),
     ]
     return SuiteResult(seed, outcomes)

@@ -148,7 +148,7 @@ def test_acceptance_07_lemma_checks_hold(big_corpus, capsys):
 
 def test_acceptance_08_irreducibles_survive_pruning(capsys):
     corpus = downset_corpus(300, 6, seed=61)
-    # preservation_report raises unless the poset is conditionally complete
+    # down-set lattices are conditionally complete, as the meet route needs
     _holds(suite._irreducible_preservation(corpus), len(corpus))
     _holds(suite._meet_equivalence(corpus), len(corpus))
     _report(capsys, 8,

@@ -199,9 +199,24 @@ def test_gen_random_deterministic(capsys):
 
 def test_gen_rejects_edge_prob_elsewhere(capsys):
     for argv in (["gen", "chain", "--size", "3", "--edge-prob", "0.5"],
-                 ["gen", "C3", "--edge-prob", "0.5"]):
+                 ["gen", "C3", "--edge-prob", "0.5"],
+                 ["gen", "C3", "--size", "7", "--seed", "3"],
+                 ["gen", "C3", "--size", "1"],
+                 ["gen", "Yp", "--seed", "0"],
+                 ["gen", "chain", "--size", "3", "--seed", "99"],
+                 ["gen", "antichain", "--seed", "0"],
+                 ["gen", "boolean", "--size", "2", "--seed", "1"],
+                 ["gen", "fence", "--size", "4", "--seed", "1"]):
         assert cli(argv) == 2
         assert "error:" in capsys.readouterr().err
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    def boom():
+        raise RuntimeError("the parser was rebuilt")
+    monkeypatch.setattr(veinprune.cli, "_build_parser", boom)
+    assert cli(["gen", "C3"]) == 0
+    assert capsys.readouterr().out == "# C3\na < b\nb < c\n"
 
 
 def test_multiline_name_is_input_error(tmp_path, capsys):
@@ -253,9 +268,11 @@ def test_non_utf8_file_is_input_error(tmp_path, capsys):
 
 
 def test_unexpected_fault_exits_3(yp_file, monkeypatch, capsys):
-    def boom(args):
+    def boom(p):
         raise RuntimeError("boom")
-    monkeypatch.setattr(veinprune.cli, "_cmd_info", boom)
+    # the parser is built at import, so it holds the original _cmd_info;
+    # the fault goes into a helper that _cmd_info looks up when it runs
+    monkeypatch.setattr(veinprune.cli, "_count_maximal_chains", boom)
     assert cli(["info", yp_file]) == 3
     assert capsys.readouterr().err == "error: unexpected fault: RuntimeError('boom')\n"
 

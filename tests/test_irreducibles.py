@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 from veinprune import (
     NotConditionallyComplete,
+    Poset,
     coirreducibles,
     doubly_irreducibles,
     irreducibles,
@@ -14,6 +17,7 @@ from veinprune import (
     profiles,
     prune,
 )
+from veinprune.cli import cli
 
 
 def test_is_irreducible(c3, b3, yp):
@@ -95,9 +99,39 @@ def test_preservation_report(c3, b3, yp):
         assert rep.pruned == prune(p).pruned
 
 
-def test_preservation_requires_completeness(bowtie):
+def test_preservation_needs_no_completeness(bowtie):
+    assert not bowtie.is_conditionally_complete()
+    assert preservation_report(bowtie).preserved
+
+
+def test_pruning_can_lose_completeness():
+    # e2 < e3 is the one strict vein. Pruned, e3 is minimal, so e4 and e6
+    # have the incomparable lower bounds e0 and e3 and no meet.
+    p = Poset.from_relations(
+        [f"e{i}" for i in range(7)],
+        [("e0", "e1"), ("e0", "e2"), ("e0", "e5"), ("e1", "e4"),
+         ("e2", "e3"), ("e3", "e4"), ("e3", "e6"), ("e5", "e6")])
+    pruned = prune(p).pruned
+    assert p.is_conditionally_complete()
+    assert not pruned.is_conditionally_complete()
+    assert profiles(pruned) == profiles(p)
+    assert not is_irreducible_via_meet(p, "e3")  # e3 = meet(e4, e6)
     with pytest.raises(NotConditionallyComplete):
-        preservation_report(bowtie)
+        is_irreducible_via_meet(pruned, "e3")
+
+
+def test_irr_states_preservation_without_pruning(tmp_path, monkeypatch,
+                                                 capsys):
+    def boom(*args, **kwargs):
+        raise RuntimeError("irr pruned the poset")
+    # the package exports a function named irreducibles, which hides the
+    # submodule of that name from attribute lookup
+    module = importlib.import_module("veinprune.irreducibles")
+    monkeypatch.setattr(module, "prune", boom)
+    path = tmp_path / "yp.txt"
+    path.write_text("a < b\nb < c\nb < d\n")
+    assert cli(["irr", str(path)]) == 0
+    assert "preserved under pruning: yes" in capsys.readouterr().out
 
 
 def test_profiles_stable_under_pruning(fx):

@@ -143,6 +143,8 @@ def test_opposite_involution(p):
 def test_relations_rebuild_the_poset(p):
     assert Poset.from_relations(p.labels, p.relations()) == p
     assert Poset.from_relations(p.labels, p.covers) == p
+    assert p.relations() == tuple(sorted(p.relations()))
+    assert p.covers == tuple(sorted(p.covers))
 
 
 def _masks(q):
@@ -395,6 +397,15 @@ def test_principal_set_completeness_is_the_pairwise_definition(p):
                               if x not in (a, b))
             assert is_irreducible_via_meet(p, x) == (not expressible)
             assert is_irreducible_via_meet(p, x) == twin.is_irreducible(x)
+
+
+@given(st.one_of(posets(), ladders(), lattices()))
+def test_pruning_keeps_proper_meets_where_both_are_complete(p):
+    # pruning keeps every irreducibility flag but may lose completeness;
+    # where it does not, the meet route reads the same flags on both sides
+    q = prune(p).pruned
+    if p.is_conditionally_complete() and q.is_conditionally_complete():
+        assert p._proper_meets() == q._proper_meets()
 
 
 @given(st.one_of(posets(max_size=7), ladders(), lattices(), fences(),
