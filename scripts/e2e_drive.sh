@@ -1,5 +1,10 @@
 #!/bin/bash
 set -euo pipefail
+repo=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
+# run from a checkout when no veinprune is installed
+if ! command -v veinprune >/dev/null; then
+  veinprune() { PYTHONPATH="$repo/src" python3 -m veinprune.cli "$@"; }
+fi
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 cd "$work"
@@ -33,6 +38,10 @@ veinprune prune --format json --out yp_pruned.json yp.txt
 veinprune info yp_pruned.json | has "cover pairs: 2"
 
 veinprune iterate yp.txt | has "fixpoint after 1 iteration"
+# one pass decides: a cap of 1 cannot show Yp's fixpoint, a cap of 2 can
+rc=0; veinprune iterate --max 1 yp.txt >/dev/null 2>&1 || rc=$?
+test "$rc" -eq 1
+veinprune iterate --max 2 yp.txt | has "fixpoint after 1 iteration"
 veinprune iterate r9.txt | has "fixpoint after"
 test "$(veinprune iterate --mode oracle r9.txt)" = "$(veinprune iterate r9.txt)"
 veinprune irr b3.txt | has "preserved under pruning: yes"
@@ -58,6 +67,8 @@ printf 'b < a\na < b\n' > bad.txt
 if veinprune info bad.txt 2>/dev/null; then exit 1; fi
 rc=0; veinprune info bad.txt 2>/dev/null || rc=$?
 test "$rc" -eq 2
+test "$(veinprune info bad.txt 2>&1 >/dev/null || true)" = \
+  "error: relation contains a cycle: a < b < a"
 rc=0; veinprune info /no/such/file 2>/dev/null || rc=$?
 test "$rc" -eq 2
 rc=0; veinprune gen chain --size 3 --edge-prob 0.5 >/dev/null 2>&1 || rc=$?

@@ -74,49 +74,6 @@ def _memoized(fn):
     return wrapper
 
 
-def _successors_first(labels: tuple[str, ...],
-                      adj: Sequence[int]) -> list[int]:
-    """Every index once, each after all its successors along ``adj``.
-
-    Depth-first postorder, without recursion. Raises CycleDetected with a
-    witness cycle when ``adj`` has one. An element without successors is
-    finished as soon as it is reached.
-    """
-    n = len(labels)
-    color = [0] * n  # 0 new, 1 on the DFS path, 2 finished
-    post: list[int] = []
-    for root in range(n):
-        if color[root]:
-            continue
-        if not adj[root]:
-            color[root] = 2
-            post.append(root)
-            continue
-        color[root] = 1
-        path = [root]
-        pending = [_bits(adj[root])]
-        while pending:
-            j = next(pending[-1], None)
-            if j is None:
-                pending.pop()
-                done = path.pop()
-                color[done] = 2
-                post.append(done)
-            elif not color[j]:
-                if adj[j]:
-                    color[j] = 1
-                    path.append(j)
-                    pending.append(_bits(adj[j]))
-                else:
-                    color[j] = 2
-                    post.append(j)
-            elif color[j] == 1:
-                at = path.index(j)
-                cycle = [labels[k] for k in path[at:]] + [labels[j]]
-                raise CycleDetected(tuple(cycle))
-    return post
-
-
 class Poset:
     """An immutable finite poset.
 
@@ -132,28 +89,60 @@ class Poset:
                  "_memo")
 
     def __init__(self, labels: tuple[str, ...], adj: Sequence[int]):
-        """Close ``adj`` into the order in O(n + edges) mask operations.
+        """Close ``adj`` into the order in one walk of O(n + edges) mask ops.
 
-        In successors-first order, ``above[i]`` is the union of {j} and
-        ``above[j]`` over the edges i -> j. Every cover is an input edge:
-        a relation with no element between its ends is not the end of a
-        path of two or more edges. An edge i -> j is a cover unless j lies
-        above another successor of i. A second pass, bottom-up, fills the lower
-        covers and closes ``below`` along them: each element is complete
-        before it is pushed into its upper covers.
+        A non-recursive depth-first walk closes element i only after every
+        successor j of i has closed, and an element without successors on
+        arrival. Reaching an element still on the walk's path raises
+        CycleDetected with that cycle. When i closes, ``redundant`` is the
+        union of the ``above[j]``, and ``above[i]`` is ``adj[i] | redundant``.
+        A cover is an input edge (a longer path puts an element between its
+        ends), and an edge i -> j is a cover unless j lies above another
+        successor of i: the upper covers are ``adj[i] & ~redundant``. A second
+        pass, in reverse closing order, fills the lower covers and closes
+        ``below`` along them, each element complete before it is pushed into
+        its upper covers.
         """
         n = len(labels)
         self._labels = tuple(labels)
         self._index = {lab: i for i, lab in enumerate(self._labels)}
-        order = _successors_first(self._labels, adj)
         above = [0] * n
         ucov = [0] * n
-        for i in order:
-            redundant = 0  # everything above a successor of i
-            for j in _bits(adj[i]):
-                redundant |= above[j]
-            above[i] = adj[i] | redundant
-            ucov[i] = adj[i] & ~redundant
+        color = [0] * n  # 0 new, 1 on the walk's path, 2 closed
+        order: list[int] = []  # successors first
+        for root in range(n):
+            if color[root]:
+                continue
+            if not adj[root]:
+                color[root] = 2
+                order.append(root)
+                continue
+            color[root] = 1
+            stack = [[root, _bits(adj[root]), 0]]  # [i, unvisited, redundant]
+            while stack:
+                frame = stack[-1]
+                j = next(frame[1], None)
+                if j is None:
+                    i, _, redundant = stack.pop()
+                    above[i] = adj[i] | redundant
+                    ucov[i] = adj[i] & ~redundant
+                    color[i] = 2
+                    order.append(i)
+                    if stack:
+                        stack[-1][2] |= above[i]
+                elif not color[j]:
+                    if adj[j]:
+                        color[j] = 1
+                        stack.append([j, _bits(adj[j]), 0])
+                    else:
+                        color[j] = 2
+                        order.append(j)
+                elif color[j] == 2:
+                    frame[2] |= above[j]
+                else:
+                    path = [f[0] for f in stack]
+                    cycle = path[path.index(j):] + [j]
+                    raise CycleDetected(tuple(self._labels[k] for k in cycle))
         below = [0] * n
         dcov = [0] * n
         for i in reversed(order):

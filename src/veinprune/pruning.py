@@ -2,9 +2,15 @@
 
 Write x <=* y when x = y, or when x < y and some maximal chain of the
 interval [x, y] contains no strict vein of the ambient poset. This
-relation is again a partial order (the pruning order), pruning is
-monotone (it only removes relations), and on finite posets it reaches a
-fixpoint after at most one step.
+relation is again a partial order (the pruning order), and pruning is
+monotone (it only removes relations).
+
+Pruning is idempotent, so :func:`iterate_prune` prunes once. The covers
+of q = prune(p) are exactly the non-bridge covers of p
+(:func:`pruning_witness`, fact 1). For a cover (a, b) of q, a bridge of p
+leaving a or entering b would be (a, b) itself, so deleting the bridges
+kept the upper covers of a and the lower covers of b, and (a, b) is no
+bridge of q either. So q has no bridge edges, and prune(q) = q.
 
 The fast route deletes the bridge edges from the cover digraph and takes
 reachability: a maximal chain of [x, y] is a cover path from x to y, and
@@ -89,8 +95,7 @@ def _built_pruned(p: Poset) -> Poset | None:
 def _pruned(p: Poset) -> Poset:
     """The pruned poset of the fast route, closed from the non-bridge covers.
 
-    Built once per poset. A poset without bridge edges is its own pruning,
-    since its non-bridge covers are all its covers; it is returned as is.
+    Built once per poset; a poset without bridge edges is returned as is.
     """
     q = _built_pruned(p)
     return p if q is None else q
@@ -175,13 +180,11 @@ def _oracle_pruned(p: Poset) -> Poset:
 def prune(p: Poset, mode: str = "fast") -> PruneReport:
     """One pruning pass: the poset whose strict order is x <* y.
 
-    ``fast`` deletes the bridge edges and closes the remaining covers; its
-    pruned poset is built once per poset, and a poset without bridge edges
-    is returned as its own pruning. ``oracle`` tests every strict pair
-    through :mod:`veinprune.oracle` and checks that the relation is a
-    strict order inside p before building it, raising
-    InternalOrderViolation on any breach. Witness chains come from
-    :func:`pruning_witness`.
+    ``fast`` deletes the bridge edges and closes the remaining covers, once
+    per poset (:func:`_pruned`). ``oracle`` tests every strict pair through
+    :mod:`veinprune.oracle` and checks that the relation is a strict order
+    inside p before building it, raising InternalOrderViolation on any
+    breach.
     """
     if mode == "fast":
         pruned = _pruned(p)
@@ -195,19 +198,21 @@ def prune(p: Poset, mode: str = "fast") -> PruneReport:
 
 
 def iterate_prune(p: Poset, max_iters: int = 4, mode: str = "fast") -> PruneIteration:
-    """Prune repeatedly until two consecutive posets agree.
+    """Prune until two consecutive posets agree, which takes one pass.
 
     Returns the whole sequence including the repeated entry, plus the
-    index of the first poset equal to its successor (None when the cap
-    ``max_iters`` was hit first). Finite posets stabilize at index 0 or 1.
-    An unknown ``mode`` raises ValueError even when ``max_iters`` is 0.
+    index of the first poset equal to its successor: [p, p] and 0 when p
+    is its own pruning, else [p, q, q] and 1, cut to ``max_iters`` passes
+    (index None when the cap is hit first). An unknown ``mode`` raises
+    ValueError even when ``max_iters`` is 0.
     """
     if mode not in ("fast", "oracle"):
         raise ValueError(f"mode must be 'fast' or 'oracle', got {mode!r}")
-    seq = [p]
-    for _ in range(max_iters):
-        nxt = prune(seq[-1], mode).pruned
-        seq.append(nxt)
-        if nxt == seq[-2]:
-            return PruneIteration(posets=seq, fixpoint_index=len(seq) - 2)
-    return PruneIteration(posets=seq, fixpoint_index=None)
+    if max_iters < 1:
+        return PruneIteration(posets=[p], fixpoint_index=None)
+    q = prune(p, mode).pruned
+    if q == p:
+        return PruneIteration(posets=[p, q], fixpoint_index=0)
+    if max_iters == 1:
+        return PruneIteration(posets=[p, q], fixpoint_index=None)
+    return PruneIteration(posets=[p, q, q], fixpoint_index=1)

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import string
+
 import pytest
+from hypothesis import given, strategies as st
 
 from veinprune import (
     CycleDetected,
@@ -38,11 +41,34 @@ def test_from_relations_rejects_duplicates_and_unknowns():
 def test_from_relations_rejects_cycles():
     with pytest.raises(CycleDetected) as exc:
         Poset.from_relations("ab", [("a", "b"), ("b", "a")])
-    assert exc.value.cycle  # witness is attached
+    assert exc.value.cycle == ("a", "b", "a")
     with pytest.raises(CycleDetected):
         Poset.from_relations("a", [("a", "a")])
-    with pytest.raises(CycleDetected):
+    with pytest.raises(CycleDetected) as exc:
         Poset.from_relations("abc", [("a", "b"), ("b", "c"), ("c", "a")])
+    assert exc.value.cycle == ("a", "b", "c", "a")
+    # the walk starts at a, enters the cycle at b and reports it from there
+    with pytest.raises(CycleDetected) as exc:
+        Poset.from_relations("abcd", [("d", "c"), ("c", "b"), ("b", "d"),
+                                      ("a", "b")])
+    assert exc.value.cycle == ("b", "d", "c", "b")
+
+
+@given(st.data())
+def test_cycle_witness_is_a_cycle_of_input_pairs(data):
+    n = data.draw(st.integers(min_value=2, max_value=8))
+    labels = data.draw(st.permutations(string.ascii_lowercase[:n]))
+    # position order is a topological order, so these pairs form a DAG
+    forward = [(labels[i], labels[j])
+               for i in range(n) for j in range(i + 1, n)]
+    pairs = data.draw(st.lists(st.sampled_from(forward), unique=True))
+    lo, hi = data.draw(st.sampled_from(forward))
+    pairs = pairs + [(lo, hi), (hi, lo)]  # one back edge closes a cycle
+    with pytest.raises(CycleDetected) as exc:
+        Poset.from_relations(labels, pairs)
+    cycle = exc.value.cycle
+    assert len(cycle) >= 3 and cycle[0] == cycle[-1]
+    assert set(zip(cycle, cycle[1:])) <= set(pairs)
 
 
 def test_labels_sorted_and_value_equality():

@@ -194,6 +194,26 @@ def test_iterate_prune_cap(c3):
     assert trivial.fixpoint_index is None
 
 
+def test_iterate_prune_prunes_once(yp, b3, monkeypatch):
+    # pruning is idempotent, so one pass decides the fixpoint
+    calls = []
+    real = veinprune.pruning.prune
+
+    def counting(p, mode="fast"):
+        calls.append(p)
+        return real(p, mode)
+
+    monkeypatch.setattr(veinprune.pruning, "prune", counting)
+    it = iterate_prune(yp)
+    assert calls == [yp]
+    assert it.fixpoint_index == 1
+    assert it.posets == [yp, real(yp).pruned, real(yp).pruned]
+    calls.clear()
+    it = iterate_prune(b3)
+    assert calls == [b3]
+    assert (it.posets, it.fixpoint_index) == ([b3, b3], 0)
+
+
 def test_iterate_prune_rejects_unknown_mode_without_iterating(c3):
     with pytest.raises(ValueError):
         iterate_prune(c3, max_iters=0, mode="quick")

@@ -2,14 +2,17 @@
 
 Long chains, a wide antichain, a long fence, a complete bipartite poset,
 a deep poset, a Boolean lattice, a ladder of diamonds ending in a bridge,
-and the empty document. Each test asserts its output and a wall-time
-bound several times the measured cost, so that a return to a super-linear
-(or exponential) layer fails here. Bounds may only be tightened.
+short chains on scattered labels, and the empty document. Each test
+asserts its output and a wall-time bound several times the measured cost,
+so that a return to a super-linear (or exponential) layer fails here.
+Bounds may only be tightened.
 """
 
 from __future__ import annotations
 
+import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -295,6 +298,68 @@ def test_completeness_fails_fast_on_complete_bipartite():
     elapsed = time.perf_counter() - started
     # measured 1 ms: the first pair decides
     assert elapsed < 0.25
+
+
+def scattered_chains(n: int, seed: int) -> str:
+    """Text of n // 4 disjoint 4-chains on a shuffle of n labels, in O(n).
+
+    Each chain takes four consecutive labels of a seeded permutation, so
+    its covers join indices far apart and every mask spans the whole
+    index range.
+    """
+    labels = [f"e{k:05d}" for k in range(n)]
+    random.Random(seed).shuffle(labels)
+    lines = []
+    for s in range(0, n, 4):
+        a, b, c, d = labels[s:s + 4]
+        lines += [f"{a} < {b}", f"{b} < {c}", f"{c} < {d}"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def chains_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("chains") / "chains10000.txt"
+    path.write_text(scattered_chains(10000, 12))
+    return str(path)
+
+
+# about 5x the slowest of three runs on a 2-vCPU Xeon host (Python 3.11),
+# at least 0.25 s; parsing included
+CHAINS_BOUNDS = {"info": 0.55, "veins": 0.4, "prune": 0.35, "iterate": 0.35}
+
+
+@pytest.mark.parametrize("command", sorted(CHAINS_BOUNDS))
+def test_scattered_chains(chains_file, capsys, command):
+    code, out, elapsed = _timed_cli([command, chains_file], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    if command == "info":
+        for line in ("cover pairs: 7500", "strict relations: 15000",
+                     "height: 3", "maximal chains: 2500",
+                     "conditionally complete: yes"):
+            assert line in lines
+    elif command == "veins":
+        assert "strict veins (15000):" in lines
+        assert "maximal veins (2500):" in lines
+    elif command == "prune":
+        # every cover is a bridge, so pruning leaves an antichain
+        assert lines == [f"e{k:05d}" for k in range(10000)]
+    else:
+        assert lines == ["fixpoint after 1 iteration"]
+    assert elapsed < CHAINS_BOUNDS[command]
+
+
+def test_scattered_chains_prune_memory(chains_file, capsys):
+    # measured 33 MB here and 123 MB at n = 20000: the closure masks span
+    # every index even though each element has at most three above it
+    tracemalloc.start()
+    try:
+        assert cli(["prune", chains_file]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 50 * 2**20
 
 
 @pytest.mark.parametrize("command", ["info", "irr"])
