@@ -1,0 +1,96 @@
+#!/bin/bash
+# Compare the command line's behaviour at a revision with the working tree.
+#
+#   bash scripts/same_output.sh [REV]     (REV defaults to HEAD)
+#
+# REV's src/ is extracted with git archive. Every invocation below runs
+# once against that tree and once against the working tree's src/, from
+# the same directory, and stdout, stderr and the exit code are compared.
+# Prints SAME OUTPUT and exits 0, or names the first invocation that
+# differs and exits 1.
+set -euo pipefail
+repo=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
+rev=${1:-HEAD}
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+mkdir "$work/rev" "$work/in"
+git -C "$repo" archive "$rev" src | tar -x -C "$work/rev"
+cd "$work/in"
+
+# run TREE RESULT ARGS...: one invocation, its streams and code under RESULT
+run() {
+  local tree=$1 result=$2 rc=0
+  shift 2
+  PYTHONDONTWRITEBYTECODE=1 PYTHONPATH="$tree" python3 -m veinprune.cli "$@" \
+    >"$result.out" 2>"$result.err" || rc=$?
+  echo "$rc" >"$result.rc"
+}
+
+count=0
+# same ARGS...: run at REV and in the working tree; stop at a difference
+same() {
+  count=$((count + 1))
+  run "$work/rev/src" "$work/rev.res" "$@"
+  run "$repo/src" "$work/new.res" "$@"
+  local part
+  for part in out err rc; do
+    if ! cmp -s "$work/rev.res.$part" "$work/new.res.$part"; then
+      echo "DIFFERENT OUTPUT: veinprune $* (.$part differs; - $rev, + working tree)"
+      diff -u "$work/rev.res.$part" "$work/new.res.$part" | sed -n '3,22p'
+      exit 1
+    fi
+  done
+}
+
+# the generated inputs are themselves compared, then kept from REV's run
+gen() {
+  local file=$1
+  shift
+  same gen "$@"
+  cp "$work/rev.res.out" "$file"
+}
+small=()
+for fixture in C3 Yp Vee B3 A2; do
+  gen "$fixture.txt" "$fixture"
+  small+=("$fixture.txt")
+done
+gen r9.txt random --size 9 --seed 11 --edge-prob 0.4
+gen chain5000.txt chain --size 5000
+printf 'a < c\na < d\nb < c\nb < d\n' > bowtie.txt
+# the README's 7-element poset, whose pruning loses conditional completeness
+printf 'e0 < e1\ne0 < e2\ne0 < e5\ne1 < e4\ne2 < e3\ne3 < e4\ne3 < e6\ne5 < e6\n' \
+  > readme7.txt
+for i in $(seq 1000); do
+  echo "b$((i-1)) < l$i"; echo "b$((i-1)) < r$i"
+  echo "l$i < b$i"; echo "r$i < b$i"
+done > ladder1000.txt
+: > empty.txt
+printf 'b < a\na < b\n' > cyclic.txt
+small+=(r9.txt bowtie.txt readme7.txt empty.txt cyclic.txt)
+
+for file in "${small[@]}" chain5000.txt ladder1000.txt; do
+  same info "$file"
+  if [ "$file" != chain5000.txt ]; then
+    same veins "$file"
+  fi
+  for format in text json dot; do
+    same prune --format "$format" "$file"
+  done
+  same iterate --max 1 "$file"
+  same iterate --max 4 "$file"
+  same irr "$file"
+  same dot "$file"
+done
+# the definition-level route, on inputs of at most 12 elements
+for file in "${small[@]}"; do
+  same veins --mode oracle "$file"
+  for format in text json dot; do
+    same prune --mode oracle --format "$format" "$file"
+  done
+  same iterate --mode oracle --max 1 "$file"
+  same iterate --mode oracle --max 4 "$file"
+done
+same check --seed 3 --count 60 --max-size 8
+
+echo "$count invocations compared with $rev"
+echo "SAME OUTPUT"

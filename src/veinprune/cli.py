@@ -48,9 +48,9 @@ def _yn(flag: bool) -> str:
 
 def _count_maximal_chains(p: Poset) -> int:
     # paths from minimal to maximal elements, counted without enumeration;
-    # fewer elements above comes first, so upper covers are counted first
+    # the poset's successors-first order counts upper covers first
     total = [0] * len(p)
-    for i in sorted(range(len(p)), key=lambda k: p._above[k].bit_count()):
+    for i in p._order:
         ups = p._ucov[i]
         total[i] = sum(total[j] for j in _bits(ups)) if ups else 1
     return sum(t for t, down in zip(total, p._below) if not down)

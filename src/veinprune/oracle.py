@@ -4,7 +4,10 @@ Chain irreducibility, veins, strict veins and the pruning order are
 computed literally, by walking cover paths and testing each against the
 maximal chains or the strict veins. Exponential by design, and
 independent of the fast bridge-edge route in :mod:`veinprune.veins` and
-:mod:`veinprune.pruning`, which is checked against it.
+:mod:`veinprune.pruning`, which is checked against it. Nothing makes a
+relation tested pair by pair an order, so :func:`pruned` checks that the
+pruning relation is a strict order inside the poset before building it;
+``prune(p, mode="oracle")`` calls it.
 
 The exhaustive cross-checks live here too: every chain and the
 irreducible-chain family, the covering form of chain irreducibility, the
@@ -19,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .connectivity import SetFamily
-from .errors import EmptySet, TooLarge
+from .errors import EmptySet, InternalOrderViolation, TooLarge
 from .poset import Poset, _bits, _dfs_paths, _memoized
 
 
@@ -106,6 +109,40 @@ def _star_above(p: Poset) -> tuple[int, ...]:
                  for i in range(len(p)))
 
 
+def pruned(p: Poset) -> Poset:
+    """The pruned poset of the oracle route, built once its relation is checked.
+
+    Two checks, in O(n + relations) mask operations, raise
+    InternalOrderViolation:
+
+    1. ``star[i]`` is a subset of ``p._above[i]``. The order of p is
+       irreflexive and acyclic, so star is too, and a cyclic relation
+       never reaches the Poset constructor as a CycleDetected.
+    2. ``star[g]`` is a subset of ``star[i]`` for every g in ``star[i]``:
+       star is transitive, so closing it adds nothing.
+    """
+    star = _star_above(p)
+    labels = p._labels
+    for i, (row, above) in enumerate(zip(star, p._above)):
+        if row & ~above:
+            j = next(_bits(row & ~above))
+            if j == i:
+                raise InternalOrderViolation(
+                    f"pruning produced a reflexive strict pair at {labels[i]!r}")
+            raise InternalOrderViolation(
+                f"pruning produced {labels[i]!r} <* {labels[j]!r}, "
+                "which the poset lacks")
+    for i, row in enumerate(star):
+        for g in _bits(row):
+            if star[g] & ~row:
+                k = next(_bits(star[g] & ~row))
+                raise InternalOrderViolation(
+                    "pruning broke transitivity: "
+                    f"{labels[i]!r} <* {labels[g]!r} <* {labels[k]!r} "
+                    f"but not {labels[i]!r} <* {labels[k]!r}")
+    return Poset(labels, star)
+
+
 # ----------------------------------------------------------------------
 # exhaustive cross-checks
 
@@ -165,7 +202,7 @@ def maximal_irreducible_chains(p: Poset, max_elements: int = 16) -> list[tuple[s
     out = []
     for m in sets:
         if not any(m < other for other in sets):
-            out.append(tuple(sorted(m, key=lambda lab: p._below[p._i(lab)].bit_count())))
+            out.append(p.as_chain(m))
     return sorted(out)
 
 

@@ -86,15 +86,16 @@ class Poset:
     """
 
     __slots__ = ("_labels", "_index", "_above", "_below", "_ucov", "_dcov",
-                 "_memo")
+                 "_order", "_memo")
 
     def __init__(self, labels: tuple[str, ...], adj: Sequence[int]):
         """Close ``adj`` into the order in one walk of O(n + edges) mask ops.
 
         A non-recursive depth-first walk closes element i only after every
         successor j of i has closed, and an element without successors on
-        arrival. Reaching an element still on the walk's path raises
-        CycleDetected with that cycle. When i closes, ``redundant`` is the
+        arrival; ``_order`` keeps that closing order, successors first.
+        Reaching an element still on the walk's path raises CycleDetected
+        with that cycle. When i closes, ``redundant`` is the
         union of the ``above[j]``, and ``above[i]`` is ``adj[i] | redundant``.
         A cover is an input edge (a longer path puts an element between its
         ends), and an edge i -> j is a cover unless j lies above another
@@ -155,6 +156,7 @@ class Poset:
         self._below = tuple(below)
         self._ucov = tuple(ucov)
         self._dcov = tuple(dcov)
+        self._order = tuple(order)
         self._memo: dict = {}
 
     # ------------------------------------------------------------------
@@ -339,14 +341,15 @@ class Poset:
         idxs = {self._i(x) for x in subset}
         if not idxs:
             raise EmptySet("convexity is defined for nonempty subsets")
-        smask = 0
+        smask = up = down = 0
         for i in idxs:
             smask |= 1 << i
-        for i in idxs:
-            for j in _bits(self._above[i] & smask):
-                if self._above[i] & self._below[j] & ~smask:
-                    return False
-        return True
+            up |= self._above[i]
+            down |= self._below[i]
+        # up & down holds exactly the z with x < z < y for some members x
+        # and y (z above one member, below one); convexity asks each such z
+        # to be a member, and z = x or z = y always is
+        return not up & down & ~smask
 
     def maximal_chains(self) -> list[tuple[str, ...]]:
         """All maximal chains, each ascending, in lexicographic order.
@@ -521,7 +524,7 @@ class Poset:
         """Longest-path height of every element above the minimal level."""
         n = len(self._labels)
         h = [0] * n
-        for i in sorted(range(n), key=lambda k: self._below[k].bit_count()):
+        for i in reversed(self._order):  # lower covers first
             for j in _bits(self._dcov[i]):
                 if h[j] + 1 > h[i]:
                     h[i] = h[j] + 1

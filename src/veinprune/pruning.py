@@ -23,11 +23,10 @@ poset, and a pass reports only that poset and the number of relations it
 removed. Witness chains come from one place, :func:`pruning_witness`: a
 mask walk on the pruned poset's covers, guided by its reachability.
 
-Only the oracle's relation is checked. It is tested pair by pair, so
-nothing makes it an order, and :func:`_oracle_pruned` raises
-InternalOrderViolation unless it is a strict order inside the poset. The
-fast route's pruned poset is an order by construction and is not checked
-again.
+This module holds only the fast route and the ``mode`` dispatch. The fast
+pruned poset is an order by construction and is not checked again; the
+oracle's relation, tested pair by pair, is checked where it is built, in
+:func:`veinprune.oracle.pruned`.
 """
 
 from __future__ import annotations
@@ -35,8 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import oracle
-from .errors import InternalOrderViolation
-from .poset import Poset, _bits, _memoized
+from .poset import Poset, _memoized
 from .veins import _bridge_pairs_ix
 
 
@@ -143,53 +141,18 @@ def pruning_witness(p: Poset, x: str, y: str) -> PruneWitness | None:
     return PruneWitness(x=x, y=y, chain=tuple(chain))
 
 
-def _oracle_pruned(p: Poset) -> Poset:
-    """The pruned poset of the oracle route, built once its relation is checked.
-
-    Two checks, in O(n + relations) mask operations, raise
-    InternalOrderViolation:
-
-    1. ``star[i]`` is a subset of ``p._above[i]``. The order of p is
-       irreflexive and acyclic, so star is too, and a cyclic relation
-       never reaches the Poset constructor as a CycleDetected.
-    2. ``star[g]`` is a subset of ``star[i]`` for every g in ``star[i]``:
-       star is transitive, so closing it adds nothing.
-    """
-    star = oracle._star_above(p)
-    labels = p._labels
-    for i, (row, above) in enumerate(zip(star, p._above)):
-        if row & ~above:
-            j = next(_bits(row & ~above))
-            if j == i:
-                raise InternalOrderViolation(
-                    f"pruning produced a reflexive strict pair at {labels[i]!r}")
-            raise InternalOrderViolation(
-                f"pruning produced {labels[i]!r} <* {labels[j]!r}, "
-                "which the poset lacks")
-    for i, row in enumerate(star):
-        for g in _bits(row):
-            if star[g] & ~row:
-                k = next(_bits(star[g] & ~row))
-                raise InternalOrderViolation(
-                    "pruning broke transitivity: "
-                    f"{labels[i]!r} <* {labels[g]!r} <* {labels[k]!r} "
-                    f"but not {labels[i]!r} <* {labels[k]!r}")
-    return Poset(labels, star)
-
-
 def prune(p: Poset, mode: str = "fast") -> PruneReport:
     """One pruning pass: the poset whose strict order is x <* y.
 
     ``fast`` deletes the bridge edges and closes the remaining covers, once
-    per poset (:func:`_pruned`). ``oracle`` tests every strict pair through
-    :mod:`veinprune.oracle` and checks that the relation is a strict order
-    inside p before building it, raising InternalOrderViolation on any
-    breach.
+    per poset (:func:`_pruned`). ``oracle`` builds the poset in
+    :func:`veinprune.oracle.pruned`, which tests every strict pair and
+    raises InternalOrderViolation unless they form a strict order inside p.
     """
     if mode == "fast":
         pruned = _pruned(p)
     elif mode == "oracle":
-        pruned = _oracle_pruned(p)
+        pruned = oracle.pruned(p)
     else:
         raise ValueError(f"mode must be 'fast' or 'oracle', got {mode!r}")
     removed = (sum(m.bit_count() for m in p._above)

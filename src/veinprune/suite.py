@@ -6,6 +6,16 @@ complete facts) and runs every order-theoretic claim the library makes
 against it. Each failure carries a canonical JSON serialization of the
 offending poset so it can be replayed by hand.
 
+A check states its fact about one poset; :func:`_check` runs it over a
+corpus and names the CheckOutcome after the function, less its
+underscore. ``checked`` counts instances, and each detail string is a
+violation:
+
+- a check that returns a detail or None is one instance per poset;
+- a check that yields is one instance per entry, detail or None, and
+  stops early only where it returns after a detail;
+- TooLarge ends a poset's count there, so a returning check skips it.
+
 The lemma checks that test the fast route, :func:`star_chain_check` and
 :func:`cover_inheritance_check`, live here rather than in the oracle,
 which must not depend on the route it checks. The acceptance tests run
@@ -14,6 +24,8 @@ these same check bodies on their own corpora.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import random
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -68,105 +80,111 @@ def _offend(out: CheckOutcome, p: Poset, detail: str) -> None:
     out.violations.append(Violation(out.name, _serialize(p), detail, len(p)))
 
 
-def _closure_roundtrip(posets: list[Poset]) -> CheckOutcome:
-    out = CheckOutcome("closure_roundtrip")
-    for p in posets:
-        out.checked += 1
-        if Poset.from_relations(list(p.labels), p.relations()) != p:
-            _offend(out, p, "rebuilding from the full relation changed the poset")
-        elif Poset.from_relations(list(p.labels), p.covers) != p:
-            _offend(out, p, "rebuilding from the cover pairs changed the poset")
-    return out
+def _check(fact):
+    """Run the one-poset check ``fact`` over a corpus (module docstring)."""
+    many = inspect.isgeneratorfunction(fact)
+
+    @functools.wraps(fact)
+    def run(posets: list[Poset], *args) -> CheckOutcome:
+        out = CheckOutcome(fact.__name__.lstrip("_"))
+        for p in posets:
+            try:
+                for detail in fact(p, *args) if many else [fact(p, *args)]:
+                    out.checked += 1
+                    if detail is not None:
+                        _offend(out, p, detail)
+            except TooLarge:
+                continue
+        return out
+    return run
 
 
-def _serialization_roundtrip(posets: list[Poset]) -> CheckOutcome:
-    out = CheckOutcome("serialization_roundtrip")
-    for p in posets:
-        out.checked += 1
-        doc = formats.PosetDocument.from_poset(p)
-        if formats.parse_text(formats.emit_text(doc)).to_poset() != p:
-            _offend(out, p, "text round-trip changed the poset")
-        elif formats.parse_json(formats.emit_json(doc)).to_poset() != p:
-            _offend(out, p, "JSON round-trip changed the poset")
-        elif formats.emit_dot(p) != formats.emit_dot(p):
-            _offend(out, p, "DOT emission is not deterministic")
-    return out
+def _at_most(p: Poset, limit: int) -> None:
+    if len(p) > limit:
+        raise TooLarge(f"{len(p)} elements exceed the check's bound {limit}")
 
 
-def _pruned_partial_order(posets: list[Poset]) -> CheckOutcome:
-    out = CheckOutcome("pruned_partial_order")
-    for p in posets:
-        out.checked += 1
-        rep = pruning.prune(p)
-        q = rep.pruned
-        if q.elements != p.elements:
-            _offend(out, p, "pruning changed the element set")
-            continue
-        # a cover of p stays a cover in the smaller order, and every cover
-        # of the pruned poset is one of the non-bridge covers; so the
-        # pruned order lies inside the order of p
-        expected = set(p.covers) - veins.bridge_edges(p)
-        got = set(q.covers)
-        if got != expected:
-            _offend(out, p,
-                    f"pruned covers {sorted(got)} are not the non-bridge "
-                    f"covers {sorted(expected)}")
-        elif rep.removed_relations != len(p.relations()) - len(q.relations()):
-            _offend(out, p, "removed_relations does not match the relation sets")
-    return out
+@_check
+def _closure_roundtrip(p: Poset) -> str | None:
+    if Poset.from_relations(list(p.labels), p.relations()) != p:
+        return "rebuilding from the full relation changed the poset"
+    if Poset.from_relations(list(p.labels), p.covers) != p:
+        return "rebuilding from the cover pairs changed the poset"
+    return None
 
 
-def _prune_opposite_commutes(posets: list[Poset]) -> CheckOutcome:
-    out = CheckOutcome("prune_opposite_commutes")
-    for p in posets:
-        out.checked += 1
-        if pruning.prune(p.opposite()).pruned != pruning.prune(p).pruned.opposite():
-            _offend(out, p, "pruning does not commute with opposite")
-    return out
+@_check
+def _serialization_roundtrip(p: Poset) -> str | None:
+    doc = formats.PosetDocument.from_poset(p)
+    if formats.parse_text(formats.emit_text(doc)).to_poset() != p:
+        return "text round-trip changed the poset"
+    if formats.parse_json(formats.emit_json(doc)).to_poset() != p:
+        return "JSON round-trip changed the poset"
+    if formats.emit_dot(p) != formats.emit_dot(p):
+        return "DOT emission is not deterministic"
+    return None
 
 
-def _iterate_reaches_fixpoint(posets: list[Poset]) -> CheckOutcome:
-    out = CheckOutcome("iterate_reaches_fixpoint")
-    for p in posets:
-        out.checked += 1
-        q = pruning.prune(p).pruned
-        if pruning.prune(q).pruned != q:
-            _offend(out, p, "prune(prune(P)) differs from prune(P)")
-    return out
+@_check
+def _pruned_partial_order(p: Poset) -> str | None:
+    rep = pruning.prune(p)
+    q = rep.pruned
+    if q.elements != p.elements:
+        return "pruning changed the element set"
+    # a cover of p stays a cover in the smaller order, and every cover
+    # of the pruned poset is one of the non-bridge covers; so the
+    # pruned order lies inside the order of p
+    expected = set(p.covers) - veins.bridge_edges(p)
+    got = set(q.covers)
+    if got != expected:
+        return (f"pruned covers {sorted(got)} are not the non-bridge "
+                f"covers {sorted(expected)}")
+    if rep.removed_relations != len(p.relations()) - len(q.relations()):
+        return "removed_relations does not match the relation sets"
+    return None
 
 
-def _vein_modes_agree(posets: list[Poset]) -> CheckOutcome:
-    out = CheckOutcome("vein_modes_agree")
-    for p in posets:
-        out.checked += 1
-        fast = veins.strict_veins(p)
-        slow = oracle.strict_veins(p)
+@_check
+def _prune_opposite_commutes(p: Poset) -> str | None:
+    if pruning.prune(p.opposite()).pruned != pruning.prune(p).pruned.opposite():
+        return "pruning does not commute with opposite"
+    return None
+
+
+@_check
+def _iterate_reaches_fixpoint(p: Poset) -> str | None:
+    q = pruning.prune(p).pruned
+    if pruning.prune(q).pruned != q:
+        return "prune(prune(P)) differs from prune(P)"
+    return None
+
+
+@_check
+def _vein_modes_agree(p: Poset) -> str | None:
+    fast, slow = veins.strict_veins(p), oracle.strict_veins(p)
+    if fast != slow:
+        return f"fast strict veins {fast} != oracle {slow}"
+    return None
+
+
+@_check
+def _pruning_modes_agree(p: Poset):
+    # one instance per ordered pair, up to the poset's first disagreement
+    for x, y in product(p.labels, repeat=2):
+        fast = pruning.pruning_leq(p, x, y)
+        wo = oracle.clean_chain(p, x, y)
+        slow = x == y or wo is not None
         if fast != slow:
-            _offend(out, p, f"fast strict veins {fast} != oracle {slow}")
-    return out
-
-
-def _pruning_modes_agree(posets: list[Poset]) -> CheckOutcome:
-    out = CheckOutcome("pruning_modes_agree")
-    for p in posets:
-        for x, y in product(p.labels, repeat=2):
-            out.checked += 1
-            fast = pruning.pruning_leq(p, x, y)
-            wo = oracle.clean_chain(p, x, y)
-            slow = x == y or wo is not None
-            if fast != slow:
-                _offend(out, p,
-                        f"modes disagree on ({x!r}, {y!r}): "
-                        f"fast={fast} oracle={slow}")
-                break
-            w = pruning.pruning_witness(p, x, y)
-            wf = w.chain if w else None
-            if wf != wo:
-                _offend(out, p,
-                        f"witnesses disagree on ({x!r}, {y!r}): "
-                        f"fast={wf} oracle={wo}")
-                break
-    return out
+            yield (f"modes disagree on ({x!r}, {y!r}): "
+                   f"fast={fast} oracle={slow}")
+            return
+        w = pruning.pruning_witness(p, x, y)
+        wf = w.chain if w else None
+        if wf != wo:
+            yield (f"witnesses disagree on ({x!r}, {y!r}): "
+                   f"fast={wf} oracle={wo}")
+            return
+        yield None
 
 
 def star_chain_check(p: Poset, x: str, y: str, chain: Iterable[str]) -> bool:
@@ -216,130 +234,83 @@ def cover_inheritance_check(p: Poset, x: str, y: str) -> bool:
     return True
 
 
-def _star_chain_lemma(posets: list[Poset]) -> CheckOutcome:
-    out = CheckOutcome("star_chain_lemma")
-    for p in posets:
-        for x, y in p.relations():
-            for m in p.maximal_chains_in_interval(x, y):
-                try:
-                    ok = star_chain_check(p, x, y, m)
-                except PreconditionViolated:
-                    continue
-                out.checked += 1
-                if not ok:
-                    _offend(out, p, f"star-chain fails on ({x!r}, {y!r}) via {m}")
-    return out
-
-
-def _cover_inheritance_lemma(posets: list[Poset]) -> CheckOutcome:
-    out = CheckOutcome("cover_inheritance_lemma")
-    for p in posets:
-        for x, y in p.relations():
-            if not pruning.pruning_leq(p, x, y):
-                continue
-            out.checked += 1
-            if not cover_inheritance_check(p, x, y):
-                _offend(out, p, f"cover inheritance fails on ({x!r}, {y!r})")
-    return out
-
-
-def _vein_connectivity(posets: list[Poset], limit: int = 8) -> CheckOutcome:
-    out = CheckOutcome("vein_connectivity")
-    for p in posets:
-        if len(p) > limit:
-            continue
-        out.checked += 1
-        fam = veins.vein_family(p)
-        if not fam.is_connectivity():
-            _offend(out, p, "vein family fails the connectivity axioms")
-            continue
-        if not fam.is_point_connected():
-            _offend(out, p, "vein family is missing a singleton")
-            continue
-        comps = {frozenset(c) for c in fam.components()}
-        if comps != {frozenset(v) for v in veins.maximal_veins(p)}:
-            _offend(out, p, "components differ from maximal veins")
-            continue
-        for x in p.labels:
-            if fam.component_of(x) not in fam:
-                _offend(out, p, f"component of {x!r} is not itself a member")
-                break
-        else:
-            # small grounds: the binary union closure must match the
-            # exhaustive subfamily axiom it stands in for
-            if len(p) <= 5 and not oracle.is_connectivity_exhaustive(fam):
-                _offend(out, p, "binary and exhaustive connectivity disagree")
-    return out
-
-
-def _irreducible_chain_connectivity(posets: list[Poset],
-                                    limit: int = 8) -> CheckOutcome:
-    out = CheckOutcome("irreducible_chain_connectivity")
-    for p in posets:
-        if len(p) > limit:
-            continue
-        try:
-            fam = oracle.irreducible_chain_family(p)
-            maximal = oracle.maximal_irreducible_chains(p)
-        except TooLarge:
-            continue
-        out.checked += 1
-        if not fam.is_connectivity() or not fam.is_point_connected():
-            _offend(out, p, "irreducible chains fail the connectivity axioms")
-            continue
-        comps = {frozenset(c) for c in fam.components()}
-        if comps != {frozenset(c) for c in maximal}:
-            _offend(out, p, "components differ from maximal irreducible chains")
-            continue
-        if len(p) <= 6:
-            members = set(fam.members)
-            for chain in maximal:
-                for size in range(1, len(chain) + 1):
-                    for sub in combinations(chain, size):
-                        if frozenset(sub) not in members:
-                            _offend(out, p,
-                                    f"subset {sub} of an irreducible chain "
-                                    f"is not irreducible")
-                            break
-                    else:
-                        continue
-                    break
-                else:
-                    continue
-                break
-    return out
-
-
-def _covering_characterization(posets: list[Poset],
-                               limit: int = 7) -> CheckOutcome:
-    out = CheckOutcome("covering_characterization")
-    for p in posets:
-        if len(p) > limit:
-            continue
-        try:
-            chains = oracle.all_chains(p)
-        except TooLarge:
-            continue
-        counted = True
-        for c in chains:
-            direct = oracle.is_irreducible_chain(p, c)
+@_check
+def _star_chain_lemma(p: Poset):
+    # one instance per maximal chain of an interval meeting the precondition
+    for x, y in p.relations():
+        for m in p.maximal_chains_in_interval(x, y):
             try:
-                covered = oracle.check_covering_characterization(p, c)
-            except TooLarge:
-                counted = False
-                break
-            if direct != covered:
-                _offend(out, p,
-                        f"chain {c}: direct={direct} covering={covered}")
-                break
-        if counted:
-            out.checked += 1
-    return out
+                ok = star_chain_check(p, x, y, m)
+            except PreconditionViolated:
+                continue
+            yield None if ok else f"star-chain fails on ({x!r}, {y!r}) via {m}"
+
+
+@_check
+def _cover_inheritance_lemma(p: Poset):
+    # one instance per strict pair of the pruning order
+    for x, y in p.relations():
+        if pruning.pruning_leq(p, x, y):
+            yield (None if cover_inheritance_check(p, x, y)
+                   else f"cover inheritance fails on ({x!r}, {y!r})")
+
+
+@_check
+def _vein_connectivity(p: Poset, limit: int = 8) -> str | None:
+    _at_most(p, limit)
+    fam = veins.vein_family(p)
+    if not fam.is_connectivity():
+        return "vein family fails the connectivity axioms"
+    if not fam.is_point_connected():
+        return "vein family is missing a singleton"
+    comps = {frozenset(c) for c in fam.components()}
+    if comps != {frozenset(v) for v in veins.maximal_veins(p)}:
+        return "components differ from maximal veins"
+    for x in p.labels:
+        if fam.component_of(x) not in fam:
+            return f"component of {x!r} is not itself a member"
+    # small grounds (at most 15 veins): the binary union closure must
+    # match the exhaustive subfamily axiom it stands in for
+    if len(p) <= 5 and not oracle.is_connectivity_exhaustive(fam):
+        return "binary and exhaustive connectivity disagree"
+    return None
+
+
+@_check
+def _irreducible_chain_connectivity(p: Poset, limit: int = 8) -> str | None:
+    _at_most(p, limit)
+    fam = oracle.irreducible_chain_family(p)
+    maximal = oracle.maximal_irreducible_chains(p)
+    if not fam.is_connectivity() or not fam.is_point_connected():
+        return "irreducible chains fail the connectivity axioms"
+    comps = {frozenset(c) for c in fam.components()}
+    if comps != {frozenset(c) for c in maximal}:
+        return "components differ from maximal irreducible chains"
+    if len(p) <= 6:
+        members = set(fam.members)
+        for chain in maximal:
+            for size in range(1, len(chain) + 1):
+                for sub in combinations(chain, size):
+                    if frozenset(sub) not in members:
+                        return (f"subset {sub} of an irreducible chain "
+                                f"is not irreducible")
+    return None
+
+
+@_check
+def _covering_characterization(p: Poset, limit: int = 7) -> str | None:
+    _at_most(p, limit)
+    for c in oracle.all_chains(p):
+        direct = oracle.is_irreducible_chain(p, c)
+        covered = oracle.check_covering_characterization(p, c)
+        if direct != covered:
+            return f"chain {c}: direct={direct} covering={covered}"
+    return None
 
 
 def _vein_restriction(posets: list[Poset], seed: int,
                       draws: int = 3) -> CheckOutcome:
-    out = CheckOutcome("vein_restriction")
+    out = CheckOutcome("vein_restriction")  # draws seeded by position
     for i, p in enumerate(posets):
         rng = random.Random(f"{seed}:restrict:{i}")
         all_veins = veins.vein_family(p).members
@@ -359,28 +330,19 @@ def _vein_restriction(posets: list[Poset], seed: int,
     return out
 
 
-def _irreducible_preservation(posets: list[Poset]) -> CheckOutcome:
-    out = CheckOutcome("irreducible_preservation")
-    for p in posets:
-        out.checked += 1
-        rep = preservation_report(p)
-        if not rep.preserved:
-            _offend(out, p, "irreducibility flags changed under pruning")
-    return out
+@_check
+def _irreducible_preservation(p: Poset) -> str | None:
+    if not preservation_report(p).preserved:
+        return "irreducibility flags changed under pruning"
+    return None
 
 
-def _meet_equivalence(posets: list[Poset]) -> CheckOutcome:
-    out = CheckOutcome("meet_equivalence")
-    for p in posets:
-        out.checked += 1
-        for x in p.labels:
-            via_filter = is_irreducible(p, x)
-            via_meet = is_irreducible_via_meet(p, x)
-            if via_filter != via_meet:
-                _offend(out, p,
-                        f"filter and meet irreducibility disagree on {x!r}")
-                break
-    return out
+@_check
+def _meet_equivalence(p: Poset) -> str | None:
+    for x in p.labels:
+        if is_irreducible(p, x) != is_irreducible_via_meet(p, x):
+            return f"filter and meet irreducibility disagree on {x!r}"
+    return None
 
 
 def run_suite(seed: int = 42, count: int = 100,

@@ -178,6 +178,48 @@ def test_check_env_seed_invalid(monkeypatch, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_check_reports_failures(monkeypatch, capsys):
+    # a pruning that keeps its bridges fails one verdict per poset and stops
+    # each poset's pair scan at its first disagreement; an inverted
+    # star-chain check fails every instance and keeps counting
+    monkeypatch.setattr(veinprune.pruning, "_non_bridge_covers",
+                        lambda p: list(p._ucov))
+    real = veinprune.suite.star_chain_check
+    monkeypatch.setattr(veinprune.suite, "star_chain_check",
+                        lambda *args: not real(*args))
+    assert cli(["check", "--seed", "3", "--count", "20", "--max-size", "6"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [
+        "ok   closure_roundtrip (25 checked)",
+        "ok   serialization_roundtrip (25 checked)",
+        "FAIL pruned_partial_order (25 checked, 13 violations)",
+        "ok   prune_opposite_commutes (25 checked)",
+        "ok   iterate_reaches_fixpoint (25 checked)",
+        "ok   vein_modes_agree (25 checked)",
+        "FAIL pruning_modes_agree (294 checked, 13 violations)",
+        "FAIL star_chain_lemma (64 checked, 64 violations)",
+        "ok   cover_inheritance_lemma (85 checked)",
+        "ok   vein_connectivity (25 checked)",
+        "ok   irreducible_chain_connectivity (25 checked)",
+        "ok   covering_characterization (24 checked)",
+        "ok   vein_restriction (75 checked)",
+        "ok   irreducible_preservation (25 checked)",
+        "ok   meet_equivalence (25 checked)",
+    ]
+
+    def block(detail: str, elements: list[str], covers: list[list[str]]) -> str:
+        poset = json.dumps({"elements": elements, "covers": covers}, indent=2)
+        return f"\n{detail}\ncounterexample:\n{poset}\n"
+
+    assert err == (
+        block("pruned_partial_order: pruned covers [('a', 'b')] are not "
+              "the non-bridge covers []", ["a", "b"], [["a", "b"]])
+        + block("pruning_modes_agree: modes disagree on ('a', 'b'): "
+                "fast=True oracle=False", ["a", "b"], [["a", "b"]])
+        + block("star_chain_lemma: star-chain fails on ('a', 'c') via "
+                "('a', 'c')", ["a", "b", "c"], [["a", "c"], ["b", "c"]]))
+
+
 @pytest.mark.parametrize("argv", [["--max-size", "0"], ["--count", "-1"]])
 def test_check_rejects_bad_sizes(argv, capsys):
     assert cli(["check"] + argv) == 2
