@@ -56,6 +56,8 @@ for fixture in C3 Yp Vee B3 A2; do
 done
 gen r9.txt random --size 9 --seed 11 --edge-prob 0.4
 gen chain5000.txt chain --size 5000
+# the benchmark's sparse_large shape
+gen sparse4000.txt random --size 4000 --seed 7 --edge-prob 0.001
 printf 'a < c\na < d\nb < c\nb < d\n' > bowtie.txt
 # the README's 7-element poset, whose pruning loses conditional completeness
 printf 'e0 < e1\ne0 < e2\ne0 < e5\ne1 < e4\ne2 < e3\ne3 < e4\ne3 < e6\ne5 < e6\n' \
@@ -66,9 +68,16 @@ for i in $(seq 1000); do
 done > ladder1000.txt
 : > empty.txt
 printf 'b < a\na < b\n' > cyclic.txt
-small+=(r9.txt bowtie.txt readme7.txt empty.txt cyclic.txt)
+# relations out of order, repeated, and implied by others (a < d, a < c)
+printf 'b < d\na < d\nc < e\na < b\nb < d\nb < c\na < c\na < b\n' \
+  > repeated.txt
+printf '{"elements": ["a", "b", "c", "d"], "covers": %s}\n' \
+  '[["b", "d"], ["a", "d"], ["a", "b"], ["b", "d"], ["b", "c"]]' \
+  > repeated.json
+small+=(r9.txt bowtie.txt readme7.txt empty.txt cyclic.txt repeated.txt
+  repeated.json)
 
-for file in "${small[@]}" chain5000.txt ladder1000.txt; do
+for file in "${small[@]}" chain5000.txt ladder1000.txt sparse4000.txt; do
   same info "$file"
   if [ "$file" != chain5000.txt ]; then
     same veins "$file"

@@ -14,8 +14,8 @@ cover of x, every y > x lies above c (a cover path from x to y starts at
 c), so c is a lower bound of the whole set inside it. If c and d are two
 upper covers, a common lower bound z > x of both satisfies x < z <= c, so
 z = c, and likewise z = d: there is none. Dually, x is coirreducible iff
-it has at most one lower cover. The tests below are therefore bit counts
-on the cover masks; :func:`veinprune.oracle.is_filtered_upset` stays the
+it has at most one lower cover. The tests below therefore read the lengths
+of the cover tuples; :func:`veinprune.oracle.is_filtered_upset` stays the
 definition.
 
 Pruning keeps every element's irreducible and coirreducible flag, in every
@@ -50,16 +50,12 @@ class IrreducibilityProfile:
         return self.irreducible and self.coirreducible
 
 
-def _at_most_one(mask: int) -> bool:
-    return not mask & (mask - 1)
-
-
 def is_irreducible(p: Poset, x: str) -> bool:
     """True iff x is maximal or its strict upper set is a filter.
 
     Computed as: x has at most one upper cover.
     """
-    return _at_most_one(p._ucov[p._i(x)])
+    return len(p._ucov[p._i(x)]) <= 1
 
 
 def is_coirreducible(p: Poset, x: str) -> bool:
@@ -67,22 +63,21 @@ def is_coirreducible(p: Poset, x: str) -> bool:
 
     Computed as: x has at most one lower cover.
     """
-    return _at_most_one(p._dcov[p._i(x)])
+    return len(p._dcov[p._i(x)]) <= 1
 
 
 def profiles(p: Poset) -> dict[str, IrreducibilityProfile]:
     """Profile every element from its cover counts."""
-    return {x: IrreducibilityProfile(x, _at_most_one(up), _at_most_one(down))
+    return {x: IrreducibilityProfile(x, len(up) <= 1, len(down) <= 1)
             for x, up, down in zip(p.labels, p._ucov, p._dcov)}
 
 
 def irreducibles(p: Poset) -> tuple[str, ...]:
-    return tuple(x for x, up in zip(p.labels, p._ucov) if _at_most_one(up))
+    return tuple(x for x, up in zip(p.labels, p._ucov) if len(up) <= 1)
 
 
 def coirreducibles(p: Poset) -> tuple[str, ...]:
-    return tuple(x for x, down in zip(p.labels, p._dcov)
-                 if _at_most_one(down))
+    return tuple(x for x, down in zip(p.labels, p._dcov) if len(down) <= 1)
 
 
 def doubly_irreducibles(p: Poset) -> frozenset[str]:

@@ -64,7 +64,7 @@ def strict_veins(p: Poset) -> list[tuple[str, ...]]:
     cover paths.
     """
     paths = (tuple(p._labels[k] for k in path) for i in range(len(p))
-             for path in _dfs_paths(i, p._ucov.__getitem__) if len(path) > 1)
+             for path in _dfs_paths(i, p._ucov) if len(path) > 1)
     return sorted(c for c in paths
                   if p.is_convex(c) and is_irreducible_chain(p, c))
 
@@ -82,7 +82,7 @@ def _clean_chain_ix(p: Poset, ix: int, iy: int) -> tuple[int, ...] | None:
     """
     mask = p._interval_mask(ix, iy)
     veins = _strict_vein_masks(p)
-    for path in _dfs_paths(ix, lambda i: p._ucov[i] & mask):
+    for path in _dfs_paths(ix, p._ucov, mask):
         if path[-1] == iy:
             cm = sum(1 << k for k in path)
             if all(v & ~cm for v in veins):
@@ -140,7 +140,7 @@ def pruned(p: Poset) -> Poset:
                     "pruning broke transitivity: "
                     f"{labels[i]!r} <* {labels[g]!r} <* {labels[k]!r} "
                     f"but not {labels[i]!r} <* {labels[k]!r}")
-    return Poset(labels, star)
+    return Poset(labels, [tuple(_bits(row)) for row in star])
 
 
 # ----------------------------------------------------------------------
@@ -184,8 +184,9 @@ def all_chains(p: Poset, max_elements: int = 16) -> list[tuple[str, ...]]:
         raise TooLarge(
             f"{len(p)} elements exceed the chain-enumeration bound "
             f"{max_elements}")
+    above = [tuple(_bits(m)) for m in p._above]
     return sorted(tuple(p._labels[k] for k in path) for start in range(len(p))
-                  for path in _dfs_paths(start, p._above.__getitem__))
+                  for path in _dfs_paths(start, above))
 
 
 def irreducible_chain_family(p: Poset, max_elements: int = 16) -> SetFamily:

@@ -1,9 +1,12 @@
 """Finite partially ordered sets on string labels.
 
 A poset is stored as its cover digraph together with full strict-order
-reachability. Both live as bitmasks over the sorted label list, so
-comparability, interval, and bound queries come down to word operations.
-Elements are identified by their labels and nothing else.
+reachability, both over the indices of the sorted label list. The covers
+are tuples of ascending indices, so they take O(n + covers) space and a
+cover step costs O(degree) whatever the indices. The order is kept as
+bitmasks, so comparability, interval, and bound queries come down to
+word operations. Elements are identified by their labels and nothing
+else.
 
 Instances are immutable after construction and hashable. Derived tables
 (maximal chains, completeness, bridge edges, pruning reachability, ...)
@@ -15,7 +18,7 @@ filling the same entry at once compute the same value twice.
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import (
     CycleDetected,
@@ -35,15 +38,18 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _dfs_paths(start: int, succ: Callable[[int], int]) -> Iterator[list[int]]:
-    """Every path from ``start`` along the successor masks ``succ(i)``.
+def _dfs_paths(start: int, succ: Sequence[Iterable[int]],
+               within: int = -1) -> Iterator[list[int]]:
+    """Every path from ``start`` along the successors ``succ[i]``.
 
-    Depth first, lowest index first, each path yielded on arrival at its
-    last vertex (preorder), without recursion. The same list is yielded
-    every time; copy what you keep.
+    Only successors in the mask ``within`` (by default all) are followed.
+    Depth first, in the order ``succ`` lists them (ascending indices give
+    lowest index first), each path yielded on arrival at its last vertex
+    (preorder), without recursion. The same list is yielded every time;
+    copy what you keep.
     """
     path = [start]
-    pending = [_bits(succ(start))]
+    pending = [iter(succ[start])]
     yield path
     while pending:
         j = next(pending[-1], None)
@@ -51,9 +57,10 @@ def _dfs_paths(start: int, succ: Callable[[int], int]) -> Iterator[list[int]]:
             pending.pop()
             path.pop()
             continue
-        path.append(j)
-        yield path
-        pending.append(_bits(succ(j)))
+        if within >> j & 1:
+            path.append(j)
+            yield path
+            pending.append(iter(succ[j]))
 
 
 def _memoized(fn):
@@ -78,37 +85,44 @@ class Poset:
     """An immutable finite poset.
 
     The constructor takes sorted ``labels`` and an acyclic adjacency:
-    ``adj[i]`` is a bitmask of elements above element i, and the order is
-    the transitive closure of these edges. Any generating set works: the
-    cover pairs, the full strict order, or anything in between. Cycles
-    raise CycleDetected. Use :meth:`from_relations` to build a poset from
-    labelled relation pairs with full validation.
+    ``adj[i]`` lists the indices of elements above element i, ascending and
+    without repeats, and the order is the transitive closure of these
+    edges. Any generating set works: the cover pairs, the full strict
+    order, or anything in between. Cycles raise CycleDetected. Use
+    :meth:`from_relations` to build a poset from labelled relation pairs
+    with full validation.
+
+    ``_ucov[i]`` and ``_dcov[i]`` are the upper and lower covers of i as
+    ascending index tuples. ``_above[i]`` and ``_below[i]`` are the
+    elements strictly above and below i as bitmasks: on dense shapes, such
+    as a long chain, those are the compact form of the order.
     """
 
     __slots__ = ("_labels", "_index", "_above", "_below", "_ucov", "_dcov",
                  "_order", "_memo")
 
-    def __init__(self, labels: tuple[str, ...], adj: Sequence[int]):
+    def __init__(self, labels: tuple[str, ...], adj: Sequence[Sequence[int]]):
         """Close ``adj`` into the order in one walk of O(n + edges) mask ops.
 
-        A non-recursive depth-first walk closes element i only after every
-        successor j of i has closed, and an element without successors on
-        arrival; ``_order`` keeps that closing order, successors first.
-        Reaching an element still on the walk's path raises CycleDetected
-        with that cycle. When i closes, ``redundant`` is the
-        union of the ``above[j]``, and ``above[i]`` is ``adj[i] | redundant``.
-        A cover is an input edge (a longer path puts an element between its
-        ends), and an edge i -> j is a cover unless j lies above another
-        successor of i: the upper covers are ``adj[i] & ~redundant``. A second
-        pass, in reverse closing order, fills the lower covers and closes
-        ``below`` along them, each element complete before it is pushed into
-        its upper covers.
+        A non-recursive depth-first walk, successors in ascending order,
+        closes element i only after every successor j of i has closed, and
+        an element without successors on arrival; ``_order`` keeps that
+        closing order, successors first. Reaching an element still on the
+        walk's path raises CycleDetected with that cycle. When i closes,
+        ``redundant`` is the union of the ``above[j]``, and ``above[i]`` is
+        ``redundant`` plus the edges of i. A cover is an input edge (a
+        longer path puts an element between its ends), and an edge i -> j
+        is a cover unless j lies above another successor of i: the upper
+        covers are the edges outside ``redundant``. A second pass, in
+        reverse closing order, closes ``below`` along the covers, each
+        element complete before it is pushed into its upper covers; a third,
+        in index order, lists the lower covers ascending.
         """
         n = len(labels)
         self._labels = tuple(labels)
         self._index = {lab: i for i, lab in enumerate(self._labels)}
         above = [0] * n
-        ucov = [0] * n
+        ucov: list[tuple[int, ...]] = [()] * n
         color = [0] * n  # 0 new, 1 on the walk's path, 2 closed
         order: list[int] = []  # successors first
         for root in range(n):
@@ -119,14 +133,22 @@ class Poset:
                 order.append(root)
                 continue
             color[root] = 1
-            stack = [[root, _bits(adj[root]), 0]]  # [i, unvisited, redundant]
+            stack = [[root, iter(adj[root]), 0]]  # [i, unvisited, redundant]
             while stack:
                 frame = stack[-1]
                 j = next(frame[1], None)
                 if j is None:
                     i, _, redundant = stack.pop()
-                    above[i] = adj[i] | redundant
-                    ucov[i] = adj[i] & ~redundant
+                    succ = adj[i]
+                    edges = 0
+                    for j in succ:
+                        edges |= 1 << j
+                    above[i] = edges | redundant
+                    if edges & redundant:
+                        kept = edges & ~redundant
+                        ucov[i] = tuple(j for j in succ if kept >> j & 1)
+                    else:
+                        ucov[i] = tuple(succ)
                     color[i] = 2
                     order.append(i)
                     if stack:
@@ -134,7 +156,7 @@ class Poset:
                 elif not color[j]:
                     if adj[j]:
                         color[j] = 1
-                        stack.append([j, _bits(adj[j]), 0])
+                        stack.append([j, iter(adj[j]), 0])
                     else:
                         color[j] = 2
                         order.append(j)
@@ -145,17 +167,18 @@ class Poset:
                     cycle = path[path.index(j):] + [j]
                     raise CycleDetected(tuple(self._labels[k] for k in cycle))
         below = [0] * n
-        dcov = [0] * n
         for i in reversed(order):
-            bit = 1 << i
-            down = below[i] | bit
-            for j in _bits(ucov[i]):
-                dcov[j] |= bit
+            down = below[i] | 1 << i
+            for j in ucov[i]:
                 below[j] |= down
+        dcov: list[list[int]] = [[] for _ in range(n)]
+        for i, ups in enumerate(ucov):
+            for j in ups:
+                dcov[j].append(i)
         self._above = tuple(above)
         self._below = tuple(below)
         self._ucov = tuple(ucov)
-        self._dcov = tuple(dcov)
+        self._dcov = tuple(map(tuple, dcov))
         self._order = tuple(order)
         self._memo: dict = {}
 
@@ -167,9 +190,10 @@ class Poset:
                        pairs: Iterable[tuple[str, str]]) -> Poset:
         """Poset whose strict order is the transitive closure of ``pairs``.
 
-        The pairs may be covers or any strict relations; the cover digraph
-        is recomputed as the transitive reduction. Raises DuplicateLabel,
-        UnknownLabel, or CycleDetected (with a witness cycle).
+        The pairs may be covers or any strict relations, in any order and
+        with repeats; the cover digraph is recomputed as the transitive
+        reduction. Raises DuplicateLabel, UnknownLabel, or CycleDetected
+        (with a witness cycle).
         """
         ordered = list(labels)
         seen: set[str] = set()
@@ -179,7 +203,8 @@ class Poset:
             seen.add(lab)
         sorted_labels = tuple(sorted(ordered))
         index = {lab: i for i, lab in enumerate(sorted_labels)}
-        adj = [0] * len(sorted_labels)
+        adj: list[list[int]] = [[] for _ in sorted_labels]
+        ascending = True  # pairs sorted by label need no sort here
         for a, b in pairs:
             ia = index.get(a)
             ib = index.get(b)
@@ -189,7 +214,12 @@ class Poset:
                 raise UnknownLabel(f"unknown label {b!r}")
             if ia == ib:
                 raise CycleDetected((a, a))
-            adj[ia] |= 1 << ib
+            row = adj[ia]
+            if row and row[-1] >= ib:
+                ascending = False
+            row.append(ib)
+        if not ascending:
+            adj = [sorted(set(row)) for row in adj]
         return cls(sorted_labels, adj)
 
     # ------------------------------------------------------------------
@@ -207,9 +237,9 @@ class Poset:
     @property
     def covers(self) -> tuple[tuple[str, str], ...]:
         """Cover pairs (x, y) with x covered by y, sorted lexicographically."""
-        return tuple((self._labels[i], self._labels[j])
-                     for i in range(len(self._labels))
-                     for j in _bits(self._ucov[i]))
+        labels = self._labels
+        return tuple((labels[i], labels[j])
+                     for i, ups in enumerate(self._ucov) for j in ups)
 
     def relations(self) -> tuple[tuple[str, str], ...]:
         """All strict pairs (x, y) with x < y, sorted lexicographically."""
@@ -237,7 +267,7 @@ class Poset:
 
     def __repr__(self) -> str:
         n = len(self._labels)
-        m = sum(c.bit_count() for c in self._ucov)
+        m = sum(map(len, self._ucov))
         return f"<Poset {n} elements, {m} covers>"
 
     # ------------------------------------------------------------------
@@ -274,10 +304,10 @@ class Poset:
         return self.leq(x, y) or self.leq(y, x)
 
     def upper_covers(self, x: str) -> tuple[str, ...]:
-        return self._labels_of(self._ucov[self._i(x)])
+        return tuple(self._labels[j] for j in self._ucov[self._i(x)])
 
     def lower_covers(self, x: str) -> tuple[str, ...]:
-        return self._labels_of(self._dcov[self._i(x)])
+        return tuple(self._labels[j] for j in self._dcov[self._i(x)])
 
     def minimal_elements(self) -> tuple[str, ...]:
         return tuple(lab for i, lab in enumerate(self._labels)
@@ -364,7 +394,7 @@ class Poset:
         ucov, labels = self._ucov, self._labels
         return tuple(tuple(labels[k] for k in path)
                      for i in range(len(labels)) if not self._below[i]
-                     for path in _dfs_paths(i, ucov.__getitem__)
+                     for path in _dfs_paths(i, ucov)
                      if not ucov[path[-1]])
 
     def maximal_chains_in_interval(self, x: str, y: str) -> list[tuple[str, ...]]:
@@ -379,11 +409,10 @@ class Poset:
             raise NotComparable(f"{x!r} <= {y!r} does not hold")
         if ix == iy:
             return [(self._labels[ix],)]
-        mask = self._interval_mask(ix, iy)
-        ucov = self._ucov
+        # the upper covers of y lie outside [x, y], so paths end at y
         return [tuple(self._labels[k] for k in path)
-                for path in _dfs_paths(
-                    ix, lambda i: 0 if i == iy else ucov[i] & mask)
+                for path in _dfs_paths(ix, self._ucov,
+                                       self._interval_mask(ix, iy))
                 if path[-1] == iy]
 
     # ------------------------------------------------------------------
@@ -397,14 +426,11 @@ class Poset:
         smask = 0
         for i in idxs:
             smask |= 1 << i
+        # renumbering keeps the order of the indices, so rows stay ascending
         pos = {old: new for new, old in enumerate(idxs)}
-        above = []
-        for old in idxs:
-            acc = 0
-            for j in _bits(self._above[old] & smask):
-                acc |= 1 << pos[j]
-            above.append(acc)
-        return Poset(tuple(self._labels[i] for i in idxs), tuple(above))
+        return Poset(tuple(self._labels[i] for i in idxs),
+                     [tuple(pos[j] for j in _bits(self._above[old] & smask))
+                      for old in idxs])
 
     def opposite(self) -> Poset:
         """The dual poset: same elements, order reversed."""
@@ -432,7 +458,7 @@ class Poset:
         near = self._ucov if up else self._dcov
         x = a
         while not bound >> x & 1:
-            for c in _bits(near[x]):
+            for c in near[x]:
                 rest = bound & ~far[c]
                 if not rest or rest == 1 << c:
                     x = c
@@ -525,7 +551,7 @@ class Poset:
         n = len(self._labels)
         h = [0] * n
         for i in reversed(self._order):  # lower covers first
-            for j in _bits(self._dcov[i]):
+            for j in self._dcov[i]:
                 if h[j] + 1 > h[i]:
                     h[i] = h[j] + 1
         return {self._labels[i]: h[i] for i in range(n)}

@@ -21,7 +21,7 @@ route lives in :mod:`veinprune.oracle`; ``prune`` and ``iterate_prune``
 reach it with ``mode="oracle"``. Either route yields the same pruned
 poset, and a pass reports only that poset and the number of relations it
 removed. Witness chains come from one place, :func:`pruning_witness`: a
-mask walk on the pruned poset's covers, guided by its reachability.
+walk on the pruned poset's covers, guided by its reachability.
 
 This module holds only the fast route and the ``mode`` dispatch. The fast
 pruned poset is an order by construction and is not checked again; the
@@ -69,11 +69,15 @@ class PruneIteration:
     fixpoint_index: int | None
 
 
-def _non_bridge_covers(p: Poset) -> list[int]:
-    """The cover masks with every bridge edge deleted."""
+def _non_bridge_covers(p: Poset) -> list[tuple[int, ...]]:
+    """The upper cover tuples with every bridge edge deleted.
+
+    A bridge (i, j) is the only upper cover of i, so deleting it leaves i
+    with none.
+    """
     adj = list(p._ucov)
-    for i, j in _bridge_pairs_ix(p):
-        adj[i] &= ~(1 << j)
+    for i, _ in _bridge_pairs_ix(p):
+        adj[i] = ()
     return adj
 
 
@@ -109,7 +113,7 @@ def pruning_witness(p: Poset, x: str, y: str) -> PruneWitness | None:
     """The least witness chain for x <* y, or None when x = y or x <* y fails.
 
     The witness is the lexicographically least maximal chain of [x, y]
-    with no strict vein, found by a mask walk on the pruned poset q. Two
+    with no strict vein, found by a walk on the pruned poset q. Two
     facts about q make the walk exact:
 
     1. ``q._ucov`` holds exactly the non-bridge covers of p. A cover of p
@@ -123,7 +127,8 @@ def pruning_witness(p: Poset, x: str, y: str) -> PruneWitness | None:
     in [x, y], so no interval mask and no bridge set is needed. The
     oracle's depth-first search returns the same chain, because the
     reachability mask rejects exactly the branches on which that search
-    would fail. The walk costs O(length) mask operations.
+    would fail. The walk tests each upper cover of the chain's elements
+    against that mask once.
     """
     q = _pruned(p)
     ix, iy = p._i(x), p._i(y)
@@ -133,10 +138,12 @@ def pruning_witness(p: Poset, x: str, y: str) -> PruneWitness | None:
     chain = [x]
     i = ix
     while i != iy:
-        c = q._ucov[i] & reach
-        # nonempty: i = x, or i was picked because y is reachable from it
-        assert c, "the witness walk lost its way"
-        i = (c & -c).bit_length() - 1
+        for j in q._ucov[i]:
+            if reach >> j & 1:
+                break
+        else:  # cannot happen: y is reachable from x and from every pick
+            raise AssertionError("the witness walk lost its way")
+        i = j
         chain.append(q._labels[i])
     return PruneWitness(x=x, y=y, chain=tuple(chain))
 

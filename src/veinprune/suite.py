@@ -34,7 +34,7 @@ from itertools import combinations, product
 from . import families, formats, oracle, pruning, veins
 from .errors import PreconditionViolated, TooLarge
 from .irreducibles import is_irreducible, is_irreducible_via_meet, preservation_report
-from .poset import Poset, _bits
+from .poset import Poset
 
 
 @dataclass(frozen=True)
@@ -200,7 +200,7 @@ def star_chain_check(p: Poset, x: str, y: str, chain: Iterable[str]) -> bool:
         raise PreconditionViolated(
             f"the chain must run from {x!r} to {y!r}")
     for a, b in zip(seq, seq[1:]):
-        if not p._ucov[p._i(a)] >> p._i(b) & 1:
+        if p._i(b) not in p._ucov[p._i(a)]:
             raise PreconditionViolated(
                 f"{a!r} < {b!r} is not a cover, so the chain is not "
                 "maximal in the interval")
@@ -225,11 +225,11 @@ def cover_inheritance_check(p: Poset, x: str, y: str) -> bool:
         raise PreconditionViolated(
             f"{x!r} <* {y!r} with distinct endpoints is required")
     mask = p._interval_mask(ix, iy)
-    for c in _bits(p._ucov[ix] & mask):
-        if not pruning.pruning_leq(p, x, p._labels[c]):
+    for c in p._ucov[ix]:
+        if mask >> c & 1 and not pruning.pruning_leq(p, x, p._labels[c]):
             return False
-    for c in _bits(p._dcov[iy] & mask):
-        if not pruning.pruning_leq(p, p._labels[c], y):
+    for c in p._dcov[iy]:
+        if mask >> c & 1 and not pruning.pruning_leq(p, p._labels[c], y):
             return False
     return True
 

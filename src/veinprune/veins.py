@@ -46,15 +46,9 @@ def is_vein(p: Poset, subset: Iterable[str]) -> bool:
 
 @_memoized
 def _bridge_pairs_ix(p: Poset) -> frozenset[tuple[int, int]]:
-    out = set()
-    for i in range(len(p)):
-        up = p._ucov[i]
-        if up and not up & (up - 1):  # exactly one upper cover
-            j = up.bit_length() - 1
-            down = p._dcov[j]
-            if not down & (down - 1):  # exactly one lower cover
-                out.add((i, j))
-    return frozenset(out)
+    dcov = p._dcov
+    return frozenset((i, up[0]) for i, up in enumerate(p._ucov)
+                     if len(up) == 1 and len(dcov[up[0]]) == 1)
 
 
 def bridge_edges(p: Poset) -> frozenset[tuple[str, str]]:

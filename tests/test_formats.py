@@ -43,6 +43,23 @@ def test_parse_text_reduces_to_covers():
     assert doc.covers == [("a", "b"), ("b", "c")]
 
 
+def test_repeated_relation_lines_load_as_the_covers(yp):
+    # out of order, a line stated twice, and a < c implied by a < b < c
+    doc = parse_text("b < d\na < c\nb < c\na < b\nb < d\n")
+    assert doc.to_poset() == yp
+    assert doc.covers == [("a", "b"), ("b", "c"), ("b", "d")]
+    assert doc.to_poset() == Poset.from_relations(yp.labels, yp.covers)
+
+
+def test_repeated_json_cover_pair_loads_as_the_covers(yp):
+    doc = parse_json(json.dumps({
+        "elements": ["a", "b", "c", "d"],
+        "covers": [["b", "d"], ["a", "b"], ["b", "c"], ["b", "d"],
+                   ["a", "d"]]}))
+    assert doc.to_poset() == yp
+    assert doc.covers == [("a", "b"), ("b", "c"), ("b", "d")]
+
+
 def test_parse_text_comments_and_blanks():
     doc = parse_text("\n# heading\n  a < b  # trailing note\n\nlonely\n")
     assert doc.elements == ["a", "b", "lonely"]

@@ -24,6 +24,31 @@ def test_from_relations_closure_and_reduction():
     assert set(p.relations()) == {("a", "b"), ("a", "c"), ("b", "c")}
 
 
+@given(st.data())
+def test_from_relations_normalises_any_generating_pairs(data):
+    # pairs in any order, repeated, and with implied pairs build the same
+    # poset, with every cover listing ascending
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    labels = data.draw(st.permutations(string.ascii_lowercase[:n]))
+    order = [(labels[i], labels[j])
+             for i in range(n) for j in range(i + 1, n)]
+    pairs = data.draw(st.lists(st.sampled_from(order), max_size=20)
+                      if order else st.just([]))
+    p = Poset.from_relations(labels, pairs)
+    assert Poset.from_relations(labels, sorted(set(pairs))) == p
+    stated = data.draw(st.lists(st.sampled_from(p.relations()), max_size=10)
+                       if p.relations() else st.just([]))
+    mixed = data.draw(st.permutations(list(p.covers) * 2 + stated))
+    q = Poset.from_relations(labels, mixed)
+    assert q == p
+    assert q.covers == p.covers == tuple(sorted(p.covers))
+    for x in p.labels:
+        assert p.upper_covers(x) == tuple(sorted(p.upper_covers(x)))
+        assert p.lower_covers(x) == tuple(sorted(p.lower_covers(x)))
+    assert p.opposite().opposite() == p
+    assert p.opposite().opposite().covers == p.covers
+
+
 def test_from_relations_accepts_isolated_elements():
     p = Poset.from_relations(["x", "y", "z"], [("x", "y")])
     assert p.labels == ("x", "y", "z")

@@ -36,6 +36,7 @@ from veinprune import (
     strict_veins,
     vein_family,
 )
+from veinprune.poset import _bits
 
 
 @st.composite
@@ -147,8 +148,12 @@ def test_relations_rebuild_the_poset(p):
     assert p.covers == tuple(sorted(p.covers))
 
 
-def _masks(q):
+def _tables(q):
     return q._above, q._below, q._ucov, q._dcov
+
+
+def _successors(masks):
+    return [tuple(_bits(m)) for m in masks]
 
 
 def _pairs(q, rows):
@@ -156,20 +161,28 @@ def _pairs(q, rows):
             for i, row in enumerate(rows) for j in range(len(q)) if row >> j & 1}
 
 
+def _cover_pairs(q, rows):
+    return {(q.labels[i], q.labels[j]) for i, row in enumerate(rows)
+            for j in row}
+
+
 @given(st.one_of(posets(), ladders()))
 def test_construction_from_any_generating_edges(p):
     # covers, the whole strict order, and the non-bridge covers behind the
-    # pruned poset all generate the same masks as a rebuild from the order
-    assert _masks(Poset.from_relations(p.labels, p.covers)) == _masks(p)
-    assert _masks(Poset(p.labels, p._above)) == _masks(p)
+    # pruned poset all generate the same tables as a rebuild from the order
+    assert _tables(Poset.from_relations(p.labels, p.covers)) == _tables(p)
+    assert _tables(Poset(p.labels, _successors(p._above))) == _tables(p)
     pruned = prune(p).pruned
-    assert _masks(Poset(p.labels, pruned._above)) == _masks(pruned)
+    assert _tables(Poset(p.labels, _successors(pruned._above))) == \
+        _tables(pruned)
     for q in (p, pruned):
         r = ref.P(q.labels, q.covers)  # reference closure of the covers
         assert _pairs(q, q._above) == r.R
         assert _pairs(q, q._below) == {(b, a) for a, b in r.R}
-        assert _pairs(q, q._ucov) == r.covers()
-        assert _pairs(q, q._dcov) == {(b, a) for a, b in r.covers()}
+        assert _cover_pairs(q, q._ucov) == r.covers()
+        assert _cover_pairs(q, q._dcov) == {(b, a) for a, b in r.covers()}
+        assert all(list(row) == sorted(set(row))
+                   for row in q._ucov + q._dcov)
 
 
 @given(posets())

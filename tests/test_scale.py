@@ -2,7 +2,8 @@
 
 Long chains, a wide antichain, a long fence, a complete bipartite poset,
 a deep poset, a Boolean lattice, a ladder of diamonds ending in a bridge,
-short chains on scattered labels, and the empty document. Each test
+short chains on scattered labels, a sparse random poset with long
+edges, and the empty document. Each test
 asserts its output and a wall-time bound several times the measured cost,
 so that a return to a super-linear (or exponential) layer fails here.
 Bounds may only be tightened.
@@ -10,6 +11,7 @@ Bounds may only be tightened.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 import tracemalloc
@@ -32,6 +34,7 @@ from veinprune import (
     random_poset,
 )
 from veinprune.cli import cli
+from veinprune.formats import load_document
 
 
 def _write(tmp_path, p: Poset | None, name: str) -> str:
@@ -350,8 +353,9 @@ def test_scattered_chains(chains_file, capsys, command):
 
 
 def test_scattered_chains_prune_memory(chains_file, capsys):
-    # measured 33 MB here and 123 MB at n = 20000: the closure masks span
-    # every index even though each element has at most three above it
+    # measured 31.8 MB with the covers kept as masks and 19.2 MB with them
+    # as index tuples (117.5 and 63.7 MB at n = 20000): the closure masks
+    # still span every index though each element has at most three above it
     tracemalloc.start()
     try:
         assert cli(["prune", chains_file]) == 0
@@ -359,7 +363,116 @@ def test_scattered_chains_prune_memory(chains_file, capsys):
     finally:
         tracemalloc.stop()
     capsys.readouterr()
-    assert peak < 50 * 2**20
+    assert peak < 26 * 2**20
+
+
+def sparse_pairs(n: int, seed: int, mean_degree: float = 3.0):
+    """Index pairs i < j of a random graph G(n, p), p = mean_degree / n.
+
+    Each of the n(n-1)/2 pairs, taken in order of j and then i, is an edge
+    with probability p. The gap to the next edge is drawn from the
+    geometric distribution, so the cost is O(n + edges), not one coin per
+    pair as in ``random_poset``. Edges join indices n/3 apart on average,
+    and an element has about e^3 / 3 - 1 (5.4) elements above it.
+    """
+    rng = random.Random(seed)
+    log_q = math.log(1 - mean_degree / n)
+    pairs = []
+    i, j = -1, 1
+    while True:
+        i += 1 + int(math.log(1 - rng.random()) / log_q)
+        while i >= j and j < n:
+            i -= j
+            j += 1
+        if j >= n:
+            return pairs
+        pairs.append((i, j))
+
+
+def _closure_counts(n: int, pairs) -> tuple[int, set, set]:
+    """Strict relation count, covers and bridge edges, from Python sets."""
+    succ: list[set[int]] = [set() for _ in range(n)]
+    for i, j in pairs:
+        succ[i].add(j)
+    above: list[set[int]] = [set() for _ in range(n)]
+    ucov: list[set[int]] = [set() for _ in range(n)]
+    dcount = [0] * n
+    for i in reversed(range(n)):  # every edge points to a larger index
+        redundant = set().union(*(above[j] for j in succ[i]))
+        above[i] = redundant | succ[i]
+        ucov[i] = succ[i] - redundant
+        for j in ucov[i]:
+            dcount[j] += 1
+    covers = {(i, j) for i in range(n) for j in ucov[i]}
+    bridges = {(i, j) for i, j in covers
+               if len(ucov[i]) == 1 and dcount[j] == 1}
+    return sum(map(len, above)), covers, bridges
+
+
+@pytest.fixture(scope="module")
+def sparse_case(tmp_path_factory):
+    n = 10000
+    pairs = sparse_pairs(n, 1)
+    labels = [f"v{k:05d}" for k in range(n)]
+    text = "".join(f"{labels[i]} < {labels[j]}\n" for i, j in pairs)
+    path = tmp_path_factory.mktemp("sparse") / "sparse10000.txt"
+    path.write_text(text + "".join(f"{lab}\n" for lab in labels))
+    relations, covers, bridges = _closure_counts(n, pairs)
+    named = [{(labels[i], labels[j]) for i, j in edges}
+             for edges in (covers, bridges)]
+    return {"path": str(path), "n": n, "labels": labels,
+            "relations": relations, "covers": named[0], "bridges": named[1]}
+
+
+def test_sparse_pairs_is_seeded_and_sparse():
+    pairs = sparse_pairs(10000, 1)
+    assert pairs == sparse_pairs(10000, 1)
+    assert all(0 <= i < j < 10000 for i, j in pairs)
+    assert len(set(pairs)) == len(pairs)
+    # n(n-1)/2 pairs at p = 3/n: about 15,000 edges
+    assert 14000 < len(pairs) < 16000
+
+
+# about 5x the slowest of three runs on a 2-vCPU Xeon host (Python 3.11),
+# parsing included (0.18, 0.26 and 0.24 s; 0.34, 0.47 and 0.39 s with the
+# covers kept as masks)
+SPARSE_BOUNDS = {"info": 0.9, "prune": 1.3, "iterate": 1.2}
+
+
+@pytest.mark.parametrize("command", sorted(SPARSE_BOUNDS))
+def test_sparse_random_poset(sparse_case, capsys, command):
+    code, out, elapsed = _timed_cli([command, sparse_case["path"]], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    labels = sparse_case["labels"]
+    if command == "info":
+        for line in (f"elements: {sparse_case['n']}",
+                     f"cover pairs: {len(sparse_case['covers'])}",
+                     f"strict relations: {sparse_case['relations']}"):
+            assert line in lines
+    elif command == "prune":
+        # the pruned covers are the covers minus the bridge edges
+        q = load_document(out).to_poset()
+        assert q.labels == tuple(labels)
+        assert sparse_case["bridges"]
+        assert set(q.covers) == sparse_case["covers"] - sparse_case["bridges"]
+        assert not bridge_edges(q)
+    else:
+        assert lines == ["fixpoint after 1 iteration"]
+    assert elapsed < SPARSE_BOUNDS[command]
+
+
+def test_sparse_random_poset_prune_memory(sparse_case, capsys):
+    # measured 30.8 MB, and 51.1 MB with the covers kept as masks; the
+    # closure masks of both posets still span most of the index range
+    tracemalloc.start()
+    try:
+        assert cli(["prune", sparse_case["path"]]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 36 * 2**20
 
 
 @pytest.mark.parametrize("command", ["info", "irr"])
