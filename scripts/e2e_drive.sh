@@ -30,6 +30,13 @@ for i in $(seq 1000); do
 done | veinprune info - | has "conditionally complete: yes"
 veinprune veins yp.txt | has "strict veins (1):"
 veinprune veins yp.txt | has "  a b"
+# a bridge run from a join of two covers to a fork, and a run that is a
+# whole component
+printf 'x < a\ny < a\na < b\nb < c\nc < d\nd < e\nd < f\np < q\nq < r\n' \
+  > broom.txt
+veinprune veins broom.txt | has "strict veins (9):"
+veinprune veins broom.txt | has "maximal veins (6):"
+veinprune iterate broom.txt | has "fixpoint after 1 iteration"
 # the definition-level route prints what the fast route prints
 test "$(veinprune veins --mode oracle r9.txt)" = "$(veinprune veins r9.txt)"
 test "$(veinprune prune --mode oracle r9.txt)" = "$(veinprune prune r9.txt)"

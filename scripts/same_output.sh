@@ -59,6 +59,10 @@ gen chain5000.txt chain --size 5000
 # the benchmark's sparse_large shape
 gen sparse4000.txt random --size 4000 --seed 7 --edge-prob 0.001
 printf 'a < c\na < d\nb < c\nb < d\n' > bowtie.txt
+# a bridge run a b c d from a join of two covers to a fork, and a run
+# p q r that is a whole component
+printf 'x < a\ny < a\na < b\nb < c\nc < d\nd < e\nd < f\np < q\nq < r\n' \
+  > broom.txt
 # the README's 7-element poset, whose pruning loses conditional completeness
 printf 'e0 < e1\ne0 < e2\ne0 < e5\ne1 < e4\ne2 < e3\ne3 < e4\ne3 < e6\ne5 < e6\n' \
   > readme7.txt
@@ -74,8 +78,8 @@ printf 'b < d\na < d\nc < e\na < b\nb < d\nb < c\na < c\na < b\n' \
 printf '{"elements": ["a", "b", "c", "d"], "covers": %s}\n' \
   '[["b", "d"], ["a", "d"], ["a", "b"], ["b", "d"], ["b", "c"]]' \
   > repeated.json
-small+=(r9.txt bowtie.txt readme7.txt empty.txt cyclic.txt repeated.txt
-  repeated.json)
+small+=(r9.txt bowtie.txt broom.txt readme7.txt empty.txt cyclic.txt
+  repeated.txt repeated.json)
 
 for file in "${small[@]}" chain5000.txt ladder1000.txt sparse4000.txt; do
   same info "$file"

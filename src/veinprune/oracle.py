@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .connectivity import SetFamily
-from .errors import EmptySet, InternalOrderViolation, TooLarge
+from .errors import EmptySet, InternalOrderViolation, NotAChain, TooLarge
 from .poset import Poset, _bits, _dfs_paths, _memoized
 
 
@@ -48,13 +48,11 @@ def is_vein(p: Poset, subset: Iterable[str]) -> bool:
     members = set(subset)
     if not members:
         raise EmptySet("a vein is a nonempty chain")
-    for x in members:
-        p._i(x)
-    if not p.is_chain(members):
+    try:
+        chain = p.as_chain(members)
+    except NotAChain:
         return False
-    if not p.is_convex(members):
-        return False
-    return is_irreducible_chain(p, members)
+    return p.is_convex(chain) and is_irreducible_chain(p, chain)
 
 
 def strict_veins(p: Poset) -> list[tuple[str, ...]]:

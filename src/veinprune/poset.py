@@ -72,7 +72,7 @@ def _memoized(fn):
     """
     @functools.wraps(fn)
     def wrapper(p: Poset, *args):
-        key = (fn, *args)
+        key = (fn, *args) if args else fn  # no tuple on the hot path
         try:
             return p._memo[key]
         except KeyError:
@@ -407,8 +407,6 @@ class Poset:
         ix, iy = self._i(x), self._i(y)
         if ix != iy and not self._above[ix] >> iy & 1:
             raise NotComparable(f"{x!r} <= {y!r} does not hold")
-        if ix == iy:
-            return [(self._labels[ix],)]
         # the upper covers of y lie outside [x, y], so paths end at y
         return [tuple(self._labels[k] for k in path)
                 for path in _dfs_paths(ix, self._ucov,

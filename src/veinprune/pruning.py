@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from . import oracle
 from .poset import Poset, _memoized
-from .veins import _bridge_pairs_ix
+from .veins import _bridge_runs
 
 
 @dataclass(frozen=True)
@@ -76,37 +76,31 @@ def _non_bridge_covers(p: Poset) -> list[tuple[int, ...]]:
     with none.
     """
     adj = list(p._ucov)
-    for i, _ in _bridge_pairs_ix(p):
-        adj[i] = ()
+    for run in _bridge_runs(p):
+        for i in run[:-1]:
+            adj[i] = ()
     return adj
 
 
 @_memoized
-def _built_pruned(p: Poset) -> Poset | None:
-    """The pruned poset when p has bridge edges, None when it has none.
-
-    None marks a poset that prunes to itself. Storing p in its own memo
-    instead would make a reference cycle, which keeps the poset alive until
-    the collector's next full pass.
-    """
-    if _bridge_pairs_ix(p):
-        return Poset(p._labels, _non_bridge_covers(p))
-    return None
+def _built_pruned(p: Poset) -> Poset:
+    """The pruned poset, closed once from the non-bridge covers."""
+    return Poset(p._labels, _non_bridge_covers(p))
 
 
 def _pruned(p: Poset) -> Poset:
-    """The pruned poset of the fast route, closed from the non-bridge covers.
+    """The pruned poset of the fast route, built once per poset.
 
-    Built once per poset; a poset without bridge edges is returned as is.
+    A poset without bridge edges is its own pruning and is returned as is:
+    storing p in its own memo would make a reference cycle, which keeps
+    the poset alive until the collector's next full pass.
     """
-    q = _built_pruned(p)
-    return p if q is None else q
+    return _built_pruned(p) if _bridge_runs(p) else p
 
 
 def pruning_leq(p: Poset, x: str, y: str) -> bool:
     """True iff x <=* y in the pruning order."""
-    ix, iy = p._i(x), p._i(y)
-    return ix == iy or bool(_pruned(p)._above[ix] >> iy & 1)
+    return _pruned(p).leq(x, y)
 
 
 def pruning_witness(p: Poset, x: str, y: str) -> PruneWitness | None:

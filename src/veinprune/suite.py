@@ -120,8 +120,6 @@ def _serialization_roundtrip(p: Poset) -> str | None:
         return "text round-trip changed the poset"
     if formats.parse_json(formats.emit_json(doc)).to_poset() != p:
         return "JSON round-trip changed the poset"
-    if formats.emit_dot(p) != formats.emit_dot(p):
-        return "DOT emission is not deterministic"
     return None
 
 
@@ -205,8 +203,8 @@ def star_chain_check(p: Poset, x: str, y: str, chain: Iterable[str]) -> bool:
                 f"{a!r} < {b!r} is not a cover, so the chain is not "
                 "maximal in the interval")
     # a cover path contains a strict vein iff it crosses a bridge edge
-    bridges = veins._bridge_pairs_ix(p)
-    if any((p._i(a), p._i(b)) in bridges for a, b in zip(seq, seq[1:])):
+    if any(veins._is_bridge(p, p._i(a), p._i(b))
+           for a, b in zip(seq, seq[1:])):
         raise PreconditionViolated(
             "the chain contains a strict vein of the ambient poset")
     return all(pruning.pruning_leq(p, seq[i], seq[j])

@@ -36,46 +36,56 @@ def is_vein(p: Poset, subset: Iterable[str]) -> bool:
         seq = [p._i(x) for x in p.as_chain(members)]
     except NotAChain:
         return False
-    bridges = _bridge_pairs_ix(p)
-    return all(pair in bridges for pair in zip(seq, seq[1:]))
+    return all(_is_bridge(p, i, j) for i, j in zip(seq, seq[1:]))
 
 
 # ----------------------------------------------------------------------
 # bridge edges and the fast enumeration
 
 
+def _is_bridge(p: Poset, i: int, j: int) -> bool:
+    """True iff (i, j) is a bridge edge: j is the only upper cover of i,
+    and i the only lower cover of j."""
+    return p._ucov[i] == (j,) and p._dcov[j] == (i,)
+
+
 @_memoized
-def _bridge_pairs_ix(p: Poset) -> frozenset[tuple[int, int]]:
-    dcov = p._dcov
-    return frozenset((i, up[0]) for i, up in enumerate(p._ucov)
-                     if len(up) == 1 and len(dcov[up[0]]) == 1)
+def _bridge_runs(p: Poset) -> tuple[tuple[int, ...], ...]:
+    """Maximal runs of consecutive bridge edges, as ascending index tuples.
+
+    Ordered by first index. A bridge is the only cover leaving its lower
+    end and the only one entering its upper end, so the runs are disjoint
+    paths. One scan finds the elements a bridge enters. A run starts at
+    the lower end of a bridge that no bridge enters, and each step up
+    from k goes to k's only upper cover while a bridge enters it: that
+    bridge can only come from k.
+    """
+    ucov, dcov = p._ucov, p._dcov
+    entered = {j for j, down in enumerate(dcov)
+               if len(down) == 1 and _is_bridge(p, down[0], j)}
+    runs = []
+    for i in sorted(dcov[j][0] for j in entered if dcov[j][0] not in entered):
+        run = [i]
+        up = ucov[i]
+        while len(up) == 1 and up[0] in entered:
+            run.append(up[0])
+            up = ucov[up[0]]
+        runs.append(tuple(run))
+    return tuple(runs)
 
 
 def bridge_edges(p: Poset) -> frozenset[tuple[str, str]]:
     """Cover pairs (x, y) where y is the unique upper cover of x and x the
     unique lower cover of y. These are exactly the two-element veins."""
-    return frozenset((p._labels[i], p._labels[j])
-                     for i, j in _bridge_pairs_ix(p))
-
-
-@_memoized
-def _bridge_paths_ix(p: Poset) -> tuple[tuple[int, ...], ...]:
-    """Maximal runs of consecutive bridge edges, as index tuples."""
-    nxt = dict(_bridge_pairs_ix(p))
-    starts = set(nxt) - set(nxt.values())
-    paths = []
-    for start in sorted(starts):
-        path = [start]
-        while path[-1] in nxt:
-            path.append(nxt[path[-1]])
-        paths.append(tuple(path))
-    return tuple(paths)
+    labels = p._labels
+    return frozenset((labels[i], labels[j]) for run in _bridge_runs(p)
+                     for i, j in zip(run, run[1:]))
 
 
 def strict_veins(p: Poset, mode: str = "fast") -> list[tuple[str, ...]]:
     """All veins with at least two elements, ascending, sorted.
 
-    ``fast`` reads them off the bridge-edge paths; ``oracle`` returns
+    ``fast`` reads them off the bridge runs; ``oracle`` returns
     :func:`veinprune.oracle.strict_veins`, which filters cover paths
     through the definitions. The two agree on every finite poset.
     """
@@ -84,11 +94,11 @@ def strict_veins(p: Poset, mode: str = "fast") -> list[tuple[str, ...]]:
     if mode != "fast":
         raise ValueError(f"mode must be 'fast' or 'oracle', got {mode!r}")
     out = []
-    for path in _bridge_paths_ix(p):
-        run = [p._labels[k] for k in path]
-        for lo in range(len(run)):
-            for hi in range(lo + 2, len(run) + 1):
-                out.append(tuple(run[lo:hi]))
+    for run in _bridge_runs(p):
+        chain = [p._labels[k] for k in run]
+        for lo in range(len(chain)):
+            for hi in range(lo + 2, len(chain) + 1):
+                out.append(tuple(chain[lo:hi]))
     return sorted(out)
 
 
@@ -98,16 +108,10 @@ def maximal_veins(p: Poset) -> list[tuple[str, ...]]:
     Maximal bridge-edge runs, plus a singleton for every element that lies
     on no bridge edge.
     """
-    paths = _bridge_paths_ix(p)
-    on_path = 0
-    out = []
-    for path in paths:
-        for k in path:
-            on_path |= 1 << k
-        out.append(tuple(p._labels[k] for k in path))
-    for i in range(len(p)):
-        if not on_path >> i & 1:
-            out.append((p._labels[i],))
+    labels, runs = p._labels, _bridge_runs(p)
+    out = [tuple(labels[k] for k in run) for run in runs]
+    on_run = {k for run in runs for k in run}
+    out.extend((x,) for i, x in enumerate(labels) if i not in on_run)
     return sorted(out)
 
 

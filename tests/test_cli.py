@@ -374,6 +374,35 @@ def test_reader_gone_before_the_exit_flush_is_not_an_error():
     assert _finish(proc) == (0, b"")
 
 
+# a run a b c d from a join of two covers to a fork, and a run p q r that
+# is a whole component
+BROOM_TEXT = ("x < a\ny < a\na < b\nb < c\nc < d\nd < e\nd < f\n"
+              "p < q\nq < r\n")
+
+
+@pytest.mark.parametrize("args", [
+    [command, *fmt, name]
+    for name in ("b3.txt", "broom.txt")
+    for command, *fmt in (["dot"], ["veins"], ["irr"],
+                          ["prune", "--format", "json"])
+] + [["check", "--seed", "3", "--count", "20"]], ids=" ".join)
+def test_output_does_not_depend_on_the_hash_seed(tmp_path, args):
+    # one process cannot see set-order dependence: its hash seed is fixed
+    (tmp_path / "b3.txt").write_text(
+        emit_text(PosetDocument.from_poset(fixtures()["B3"])))
+    (tmp_path / "broom.txt").write_text(BROOM_TEXT)
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=str(Path(veinprune.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "veinprune.cli", *args], cwd=tmp_path,
+            env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+
+
 def test_unknown_command(capsys):
     assert cli(["frobnicate"]) == 2
 

@@ -4,6 +4,7 @@ import importlib
 
 import pytest
 
+import veinprune.pruning
 from veinprune import (
     NotConditionallyComplete,
     Poset,
@@ -128,6 +129,8 @@ def test_irr_states_preservation_without_pruning(tmp_path, monkeypatch,
     # submodule of that name from attribute lookup
     module = importlib.import_module("veinprune.irreducibles")
     monkeypatch.setattr(module, "prune", boom)
+    # every fast pruning, from any module, builds its poset here
+    monkeypatch.setattr(veinprune.pruning, "_built_pruned", boom)
     path = tmp_path / "yp.txt"
     path.write_text("a < b\nb < c\nb < d\n")
     assert cli(["irr", str(path)]) == 0
