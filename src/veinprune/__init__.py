@@ -3,10 +3,15 @@
 The library half: build a :class:`Poset` from relation pairs, ask for its
 veins (irreducible convex chains), prune it (keep x below y only when some
 maximal chain of [x, y] dodges every strict vein), and profile which
-elements are irreducible, all on the fast cover-graph route. The
-definition-level route lives apart in :mod:`veinprune.oracle`; the
-property suite holds the two equal, and ``mode="oracle"`` selects it in
-``strict_veins``, ``prune`` and ``iterate_prune`` (the CLI's ``--mode``).
+elements are irreducible, all on the fast cover-graph route
+(:mod:`veinprune.veins`, :mod:`veinprune.pruning`,
+:mod:`veinprune.irreducibles`). :mod:`veinprune.formats` reads and writes
+documents and needs only the poset. The definition-level route and its
+cross-checks live apart in :mod:`veinprune.oracle`; the property suite
+(:mod:`veinprune.suite`) holds the two equal, and ``mode="oracle"``
+selects the oracle in ``strict_veins``, ``prune`` and ``iterate_prune``
+(the CLI's ``--mode``). The function ``irreducibles`` is reached through
+its module, :mod:`veinprune.irreducibles`.
 
 The tool half lives in :mod:`veinprune.cli` as the ``veinprune`` command.
 """
@@ -60,8 +65,6 @@ from .irreducibles import (
     doubly_irreducibles,
     is_coirreducible,
     is_irreducible,
-    is_irreducible_via_meet,
-    irreducibles,
     preservation_report,
     profiles,
 )
@@ -70,6 +73,7 @@ from .oracle import (
     check_covering_characterization,
     irreducible_chain_family,
     is_irreducible_chain,
+    is_irreducible_via_meet,
     maximal_irreducible_chains,
 )
 from .poset import Poset
@@ -89,13 +93,13 @@ from .suite import (
     cover_inheritance_check,
     run_suite,
     star_chain_check,
+    vein_family,
 )
 from .veins import (
     bridge_edges,
     is_vein,
     maximal_veins,
     strict_veins,
-    vein_family,
 )
 
 __version__ = "0.1.0"

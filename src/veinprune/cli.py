@@ -105,7 +105,7 @@ def _cmd_prune(args: argparse.Namespace) -> int:
     elif args.format == "json":
         payload = formats.emit_json(out_doc)
     else:
-        payload = formats.emit_dot(rep.pruned)
+        payload = formats.emit_dot(rep.pruned, profiles(rep.pruned))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)
@@ -199,7 +199,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_dot(args: argparse.Namespace) -> int:
     p = _load(args.file).to_poset()
-    sys.stdout.write(formats.emit_dot(p))
+    sys.stdout.write(formats.emit_dot(p, profiles(p)))
     return 0
 
 

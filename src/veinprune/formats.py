@@ -23,7 +23,6 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import ParseError
-from .irreducibles import IrreducibilityProfile, profiles
 from .poset import Poset
 
 
@@ -191,16 +190,15 @@ def _dot_quote(label: str) -> str:
     return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def emit_dot(p: Poset,
-             highlight: dict[str, IrreducibilityProfile] | None = None) -> str:
+def emit_dot(p: Poset, highlight: dict) -> str:
     """DOT digraph of the cover relation, drawn bottom to top.
 
-    Elements are ranked by longest-path height. Irreducible elements are
-    filled black, coirreducible elements get a double ring, and doubly
-    irreducible elements get both. Output is byte deterministic.
+    Elements are ranked by longest-path height. ``highlight`` maps labels
+    to irreducibility profiles, as :func:`veinprune.irreducibles.profiles`
+    returns them: irreducible elements are filled black, coirreducible
+    elements get a double ring, and doubly irreducible elements get both.
+    Output is byte deterministic.
     """
-    if highlight is None:
-        highlight = profiles(p)
     heights = p.heights()
     lines = ["digraph poset {", "  rankdir=BT;", "  node [shape=circle];"]
     by_level: dict[int, list[str]] = {}

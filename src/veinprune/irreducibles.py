@@ -4,9 +4,9 @@ An element is irreducible when it is maximal or its strict upper set is a
 filter (up-closed and down-directed; the empty set counts as a filter).
 Coirreducible is the same notion in the opposite poset. In a conditionally
 complete poset, irreducibility is equivalent to never being a proper meet:
-x = meet(a, b) forces x in {a, b}; the proper meets come from the poset's
-one scan, which also decides completeness and finds each meet by walking
-down the covers.
+x = meet(a, b) forces x in {a, b}. That characterization is
+:func:`veinprune.oracle.is_irreducible_via_meet`, and the suite holds the
+two tests equal.
 
 In a finite poset, x is irreducible iff it has at most one upper cover.
 The strict upper set of x is always up-closed. If c is the only upper
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotConditionallyComplete
 from .poset import Poset
 from .pruning import prune
 
@@ -84,22 +83,6 @@ def doubly_irreducibles(p: Poset) -> frozenset[str]:
     """Elements that are both irreducible and coirreducible."""
     prof = profiles(p)
     return frozenset(x for x, entry in prof.items() if entry.doubly)
-
-
-def is_irreducible_via_meet(p: Poset, x: str) -> bool:
-    """Meet-based irreducibility test, valid in conditionally complete posets.
-
-    True iff x = meet(a, b) implies x in {a, b} for all pairs. Raises
-    NotConditionallyComplete when the hypothesis fails, since the
-    equivalence with :func:`is_irreducible` is only guaranteed there. The
-    proper meets come from the poset's one scan, as completeness does.
-    """
-    ix = p._i(x)
-    meets = p._proper_meets()
-    if meets is None:
-        raise NotConditionallyComplete(
-            "the meet characterization needs a conditionally complete poset")
-    return ix not in meets
 
 
 @dataclass

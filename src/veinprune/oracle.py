@@ -11,10 +11,10 @@ pruning relation is a strict order inside the poset before building it;
 
 The exhaustive cross-checks live here too: every chain and the
 irreducible-chain family, the covering form of chain irreducibility, the
-subfamily form of the connectivity axiom, and the filter definition of
-irreducibility. The module imports only :mod:`veinprune.poset`,
-:mod:`veinprune.connectivity` and :mod:`veinprune.errors`, so it never
-depends on the route it checks.
+subfamily form of the connectivity axiom, and the filter definition and
+meet characterization of irreducibility. The module imports only
+:mod:`veinprune.poset`, :mod:`veinprune.connectivity` and
+:mod:`veinprune.errors`, so it never depends on the route it checks.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .connectivity import SetFamily
-from .errors import EmptySet, InternalOrderViolation, NotAChain, TooLarge
+from .errors import (EmptySet, InternalOrderViolation, NotAChain,
+                     NotConditionallyComplete, TooLarge)
 from .poset import Poset, _bits, _dfs_paths, _memoized
 
 
@@ -255,3 +256,21 @@ def is_filtered_upset(p: Poset, subset: Iterable[str]) -> bool:
             if not beq_a & (p._below[b] | 1 << b) & smask:
                 return False
     return True
+
+
+def is_irreducible_via_meet(p: Poset, x: str) -> bool:
+    """Meet-based irreducibility test, valid in conditionally complete posets.
+
+    True iff x = meet(a, b) implies x in {a, b} for all pairs. Raises
+    NotConditionallyComplete when the hypothesis fails, since the
+    equivalence with :func:`veinprune.irreducibles.is_irreducible` is only
+    guaranteed there. The proper meets come from the poset's one scan,
+    which also decides completeness and finds each meet by walking down
+    the covers.
+    """
+    ix = p._i(x)
+    meets = p._proper_meets()
+    if meets is None:
+        raise NotConditionallyComplete(
+            "the meet characterization needs a conditionally complete poset")
+    return ix not in meets

@@ -259,11 +259,11 @@ class Poset:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poset):
             return NotImplemented
-        return self._labels == other._labels and self._above == other._above
+        return self._labels == other._labels and self._ucov == other._ucov
 
     @_memoized
     def __hash__(self) -> int:
-        return hash((self._labels, self._above))
+        return hash((self._labels, self._ucov))
 
     def __repr__(self) -> str:
         n = len(self._labels)

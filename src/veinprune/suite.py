@@ -18,8 +18,10 @@ violation:
 
 The lemma checks that test the fast route, :func:`star_chain_check` and
 :func:`cover_inheritance_check`, live here rather than in the oracle,
-which must not depend on the route it checks. The acceptance tests run
-these same check bodies on their own corpora.
+which must not depend on the route it checks; so does
+:func:`vein_family`, the fast route's veins as a set family for the
+connectivity facts. The acceptance tests run these same check bodies on
+their own corpora.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 
 from . import families, formats, oracle, pruning, veins
+from .connectivity import SetFamily
 from .errors import PreconditionViolated, TooLarge
-from .irreducibles import is_irreducible, is_irreducible_via_meet, preservation_report
+from .irreducibles import is_irreducible, preservation_report
 from .poset import Poset
 
 
@@ -253,10 +256,17 @@ def _cover_inheritance_lemma(p: Poset):
                    else f"cover inheritance fails on ({x!r}, {y!r})")
 
 
+def vein_family(p: Poset) -> SetFamily:
+    """Every vein of the poset: all singletons plus the strict veins."""
+    members: list[tuple[str, ...]] = [(x,) for x in p.labels]
+    members.extend(veins.strict_veins(p))
+    return SetFamily(p.labels, members)
+
+
 @_check
 def _vein_connectivity(p: Poset, limit: int = 8) -> str | None:
     _at_most(p, limit)
-    fam = veins.vein_family(p)
+    fam = vein_family(p)
     if not fam.is_connectivity():
         return "vein family fails the connectivity axioms"
     if not fam.is_point_connected():
@@ -311,7 +321,7 @@ def _vein_restriction(posets: list[Poset], seed: int,
     out = CheckOutcome("vein_restriction")  # draws seeded by position
     for i, p in enumerate(posets):
         rng = random.Random(f"{seed}:restrict:{i}")
-        all_veins = veins.vein_family(p).members
+        all_veins = vein_family(p).members
         for _ in range(draws):
             subset = frozenset(x for x in p.labels if rng.random() < 0.5)
             if not subset:
@@ -338,7 +348,7 @@ def _irreducible_preservation(p: Poset) -> str | None:
 @_check
 def _meet_equivalence(p: Poset) -> str | None:
     for x in p.labels:
-        if is_irreducible(p, x) != is_irreducible_via_meet(p, x):
+        if is_irreducible(p, x) != oracle.is_irreducible_via_meet(p, x):
             return f"filter and meet irreducibility disagree on {x!r}"
     return None
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from . import oracle
-from .connectivity import SetFamily
 from .errors import EmptySet, NotAChain
 from .poset import Poset, _memoized
 
@@ -113,14 +112,3 @@ def maximal_veins(p: Poset) -> list[tuple[str, ...]]:
     on_run = {k for run in runs for k in run}
     out.extend((x,) for i, x in enumerate(labels) if i not in on_run)
     return sorted(out)
-
-
-# ----------------------------------------------------------------------
-# families, for the connectivity facts
-
-
-def vein_family(p: Poset) -> SetFamily:
-    """Every vein of the poset: all singletons plus the strict veins."""
-    members: list[tuple[str, ...]] = [(x,) for x in p.labels]
-    members.extend(strict_veins(p))
-    return SetFamily(p.labels, members)

@@ -27,6 +27,7 @@ from veinprune import (
     fixtures,
     parse_json,
     parse_text,
+    profiles,
     prune,
     pruning_leq,
     strict_veins,
@@ -190,6 +191,7 @@ def test_acceptance_10_cli_contract(tmp_path, capsys):
         assert proc.returncode == 0
         runs.append(proc.stdout)
     assert runs[0] == runs[1]
-    assert emit_dot(fixtures()["B3"]) == emit_dot(fixtures()["B3"])
+    b3 = fixtures()["B3"]
+    assert emit_dot(b3, profiles(b3)) == emit_dot(b3, profiles(b3))
     _report(capsys, 10,
             f"check ran in {elapsed:.2f}s; round trips and dot determinism hold")

@@ -15,6 +15,7 @@ from veinprune import (
     load_document,
     parse_json,
     parse_text,
+    profiles,
 )
 
 YP_TEXT = """\
@@ -173,7 +174,7 @@ def test_load_document_braces_are_not_always_json(b3):
 
 
 def test_emit_dot_c3(c3):
-    out = emit_dot(c3)
+    out = emit_dot(c3, profiles(c3))
     assert out.startswith("digraph poset {")
     assert out.count("->") == 2
     # every element of a chain is doubly irreducible: filled and ringed
@@ -182,7 +183,7 @@ def test_emit_dot_c3(c3):
 
 
 def test_emit_dot_b3(b3):
-    out = emit_dot(b3)
+    out = emit_dot(b3, profiles(b3))
     assert out.count("->") == 12
     assert out.count("fillcolor=black") == 4
     assert out.count("peripheries=2") == 4
@@ -190,10 +191,10 @@ def test_emit_dot_b3(b3):
 
 def test_emit_dot_deterministic(fx):
     for p in fx.values():
-        assert emit_dot(p) == emit_dot(p)
+        assert emit_dot(p, profiles(p)) == emit_dot(p, profiles(p))
 
 
 def test_emit_dot_quoting():
     p = Poset.from_relations(['say "hi"', "b"], [('say "hi"', "b")])
-    out = emit_dot(p)
+    out = emit_dot(p, profiles(p))
     assert '\\"hi\\"' in out

@@ -1,16 +1,14 @@
 from __future__ import annotations
 
-import importlib
-
 import pytest
 
+import veinprune.irreducibles
 import veinprune.pruning
 from veinprune import (
     NotConditionallyComplete,
     Poset,
     coirreducibles,
     doubly_irreducibles,
-    irreducibles,
     is_coirreducible,
     is_irreducible,
     is_irreducible_via_meet,
@@ -19,6 +17,7 @@ from veinprune import (
     prune,
 )
 from veinprune.cli import cli
+from veinprune.irreducibles import irreducibles
 
 
 def test_is_irreducible(c3, b3, yp):
@@ -125,10 +124,7 @@ def test_irr_states_preservation_without_pruning(tmp_path, monkeypatch,
                                                  capsys):
     def boom(*args, **kwargs):
         raise RuntimeError("irr pruned the poset")
-    # the package exports a function named irreducibles, which hides the
-    # submodule of that name from attribute lookup
-    module = importlib.import_module("veinprune.irreducibles")
-    monkeypatch.setattr(module, "prune", boom)
+    monkeypatch.setattr(veinprune.irreducibles, "prune", boom)
     # every fast pruning, from any module, builds its poset here
     monkeypatch.setattr(veinprune.pruning, "_built_pruned", boom)
     path = tmp_path / "yp.txt"

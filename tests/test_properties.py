@@ -21,7 +21,6 @@ from veinprune import (
     doubly_irreducibles,
     downset_lattice,
     irreducible_chain_family,
-    irreducibles,
     is_coirreducible,
     is_irreducible,
     is_irreducible_via_meet,
@@ -36,6 +35,7 @@ from veinprune import (
     strict_veins,
     vein_family,
 )
+from veinprune.irreducibles import irreducibles
 from veinprune.poset import _bits
 
 
