@@ -78,8 +78,16 @@ printf 'b < d\na < d\nc < e\na < b\nb < d\nb < c\na < c\na < b\n' \
 printf '{"elements": ["a", "b", "c", "d"], "covers": %s}\n' \
   '[["b", "d"], ["a", "d"], ["a", "b"], ["b", "d"], ["b", "c"]]' \
   > repeated.json
+# labels and a name that JSON output must escape: a non-ASCII letter, a
+# quote, a backslash and a tab (which the text format cannot write); a
+# diamond ending in a bridge, so pruning changes the poset
+cat > escapes.json <<'JSON'
+{"name": "esc \"q\" \\ é\t", "elements": ["é", "\"", "\\", "a\tb", "z"],
+ "covers": [["é", "\""], ["é", "\\"], ["\"", "a\tb"], ["\\", "a\tb"],
+            ["a\tb", "z"]]}
+JSON
 small+=(r9.txt bowtie.txt broom.txt readme7.txt empty.txt cyclic.txt
-  repeated.txt repeated.json)
+  repeated.txt repeated.json escapes.json)
 
 for file in "${small[@]}" chain5000.txt ladder1000.txt sparse4000.txt; do
   same info "$file"

@@ -53,7 +53,7 @@ def _count_maximal_chains(p: Poset) -> int:
     for i in p._order:
         ups = p._ucov[i]
         total[i] = sum(total[j] for j in ups) if ups else 1
-    return sum(t for t, down in zip(total, p._below) if not down)
+    return sum(t for t, down in zip(total, p._dcov) if not down)
 
 
 # ----------------------------------------------------------------------

@@ -105,9 +105,10 @@ def downset_lattice(base_size: int, seed: int) -> Poset:
             f"base size {base_size} exceeds the cap {_MAX_DOWNSET_BASE}")
     base = random_poset(base_size, seed, edge_prob=0.5)
     n = len(base)
+    below = base._below
     downs = []
     for mask in range(1 << n):
-        if all(not base._below[i] & ~mask for i in _bits(mask)):
+        if all(not below[i] & ~mask for i in _bits(mask)):
             downs.append(mask)
 
     def label(mask: int) -> str:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from .errors import ParseError
 from .poset import Poset
@@ -66,28 +67,29 @@ def parse_text(text: str) -> PosetDocument:
     Raises ParseError with a line number on malformed lines and
     CycleDetected when the declared relation is cyclic.
     """
-    labels: dict[str, None] = {}
+    labels: dict[str, None] = {}  # first mention order; re-setting keeps it
     pairs: list[tuple[str, str]] = []
+    bad = _BAD.search
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
-        if "<" in line:
-            sides = [side.strip() for side in line.split("<")]
-            if len(sides) != 2:
+        a, lt, b = line.partition("<")
+        if lt:
+            if "<" in b:
                 raise ParseError("expected a single relation 'A < B'", lineno)
-            a, b = sides
-            if not _token_ok(a) or not _token_ok(b):
+            a = a.strip()
+            b = b.strip()
+            if not a or not b or bad(a) or bad(b):
                 raise ParseError(f"bad label in relation {line!r}", lineno)
-            labels.setdefault(a)
-            labels.setdefault(b)
+            labels[a] = labels[b] = None
             pairs.append((a, b))
+        elif bad(line):
+            raise ParseError(
+                f"an element declaration must be a single token, "
+                f"got {line!r}", lineno)
         else:
-            if not _token_ok(line):
-                raise ParseError(
-                    f"an element declaration must be a single token, "
-                    f"got {line!r}", lineno)
-            labels.setdefault(line)
+            labels[line] = None
     # building the poset validates the input and reduces to covers
     return PosetDocument.from_poset(Poset.from_relations(labels, pairs))
 
@@ -144,7 +146,8 @@ def _document_from_json(obj: object) -> PosetDocument:
     covers: list[tuple[str, str]] = []
     for entry in obj["covers"]:
         if (not isinstance(entry, list) or len(entry) != 2
-                or any(not isinstance(e, str) for e in entry)):
+                or not isinstance(entry[0], str)
+                or not isinstance(entry[1], str)):
             raise ParseError("every cover must be a two-element string array")
         a, b = entry
         if a not in known:
@@ -160,13 +163,33 @@ def _document_from_json(obj: object) -> PosetDocument:
 
 
 def emit_json(doc: PosetDocument) -> str:
-    """Canonical JSON: fixed key order, sorted arrays, trailing newline."""
-    payload: dict = {}
+    """Canonical JSON: fixed key order, sorted arrays, trailing newline.
+
+    The text is ``json.dumps(payload, indent=2) + "\\n"`` for the payload
+    of name (if set), sorted elements and sorted cover pairs, written
+    directly: with an indent, ``json.dumps`` takes its pure-Python
+    encoder, so only its C string escaper is used here.
+    """
+    enc = encode_basestring_ascii
+    parts = ["{\n"]
     if doc.name is not None:
-        payload["name"] = doc.name
-    payload["elements"] = sorted(doc.elements)
-    payload["covers"] = [list(pair) for pair in sorted(doc.covers)]
-    return json.dumps(payload, indent=2) + "\n"
+        parts.append(f'  "name": {enc(doc.name)},\n')
+    if doc.elements:
+        parts.append('  "elements": [\n    ')
+        parts.append(",\n    ".join([enc(e) for e in sorted(doc.elements)]))
+        parts.append("\n  ],\n")
+    else:
+        parts.append('  "elements": [],\n')
+    if doc.covers:
+        parts.append('  "covers": [\n    ')
+        parts.append(",\n    ".join(
+            [f"[\n      {enc(a)},\n      {enc(b)}\n    ]"
+             for a, b in sorted(doc.covers)]))
+        parts.append("\n  ]\n")
+    else:
+        parts.append('  "covers": []\n')
+    parts.append("}\n")
+    return "".join(parts)
 
 
 def load_document(text: str) -> PosetDocument:

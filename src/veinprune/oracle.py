@@ -103,9 +103,9 @@ def pruning_leq(p: Poset, x: str, y: str) -> bool:
 
 def _star_above(p: Poset) -> tuple[int, ...]:
     """Strict pruning-order masks: bit j of entry i is set iff i <* j."""
-    return tuple(sum(1 << j for j in _bits(p._above[i])
+    return tuple(sum(1 << j for j in _bits(up)
                      if _clean_chain_ix(p, i, j) is not None)
-                 for i in range(len(p)))
+                 for i, up in enumerate(p._above))
 
 
 def pruned(p: Poset) -> Poset:
@@ -247,13 +247,15 @@ def is_filtered_upset(p: Poset, subset: Iterable[str]) -> bool:
     smask = 0
     for i in idxs:
         smask |= 1 << i
+    above = p._above
     for i in idxs:
-        if p._above[i] & ~smask:
+        if above[i] & ~smask:
             return False
+    below = p._below
     for pos, a in enumerate(idxs):
-        beq_a = p._below[a] | 1 << a
+        beq_a = below[a] | 1 << a
         for b in idxs[pos + 1:]:
-            if not beq_a & (p._below[b] | 1 << b) & smask:
+            if not beq_a & (below[b] | 1 << b) & smask:
                 return False
     return True
 

@@ -1,12 +1,14 @@
 """Finite partially ordered sets on string labels.
 
-A poset is stored as its cover digraph together with full strict-order
-reachability, both over the indices of the sorted label list. The covers
-are tuples of ascending indices, so they take O(n + covers) space and a
-cover step costs O(degree) whatever the indices. The order is kept as
-bitmasks, so comparability, interval, and bound queries come down to
-word operations. Elements are identified by their labels and nothing
-else.
+A poset is stored as its cover digraph, over the indices of the sorted
+label list. The covers are tuples of ascending indices, so they take
+O(n + covers) space and a cover step costs O(degree) whatever the
+indices. The strict order is read as bitmasks, so comparability,
+interval, and bound queries come down to word operations. The
+constructor keeps the upward masks, which its cover reduction needs; the
+downward masks, and both tables of a poset built straight from trusted
+covers, are filled from the covers when first read. Elements are
+identified by their labels and nothing else.
 
 Instances are immutable after construction and hashable. Derived tables
 (maximal chains, completeness, bridge edges, pruning reachability, ...)
@@ -63,6 +65,16 @@ def _dfs_paths(start: int, succ: Sequence[Iterable[int]],
             pending.append(iter(succ[j]))
 
 
+def _lower_covers(ucov: Sequence[Sequence[int]]
+                  ) -> tuple[tuple[int, ...], ...]:
+    """The ascending lower cover tuples of the upper cover tuples ``ucov``."""
+    dcov: list[list[int]] = [[] for _ in ucov]
+    for i, ups in enumerate(ucov):
+        for j in ups:
+            dcov[j].append(i)
+    return tuple(map(tuple, dcov))
+
+
 def _memoized(fn):
     """Cache ``fn(p, *args)`` in the memo of the poset ``p``.
 
@@ -95,11 +107,16 @@ class Poset:
     ``_ucov[i]`` and ``_dcov[i]`` are the upper and lower covers of i as
     ascending index tuples. ``_above[i]`` and ``_below[i]`` are the
     elements strictly above and below i as bitmasks: on dense shapes, such
-    as a long chain, those are the compact form of the order.
+    as a long chain, those are the compact form of the order. Each table
+    is filled once, when first read, unless the constructor already has
+    it. The hot readers (``leq``, ``lt``, meets, joins, intervals and the
+    pruning witness walk) read a filled table straight from its slot,
+    ``self._above_masks or self._above``: a property read is a Python
+    call, about four times the cost of a slot read.
     """
 
-    __slots__ = ("_labels", "_index", "_above", "_below", "_ucov", "_dcov",
-                 "_order", "_memo")
+    __slots__ = ("_labels", "_index", "_above_masks", "_below_masks",
+                 "_ucov", "_dcov", "_order", "_memo")
 
     def __init__(self, labels: tuple[str, ...], adj: Sequence[Sequence[int]]):
         """Close ``adj`` into the order in one walk of O(n + edges) mask ops.
@@ -113,10 +130,9 @@ class Poset:
         ``redundant`` plus the edges of i. A cover is an input edge (a
         longer path puts an element between its ends), and an edge i -> j
         is a cover unless j lies above another successor of i: the upper
-        covers are the edges outside ``redundant``. A second pass, in
-        reverse closing order, closes ``below`` along the covers, each
-        element complete before it is pushed into its upper covers; a third,
-        in index order, lists the lower covers ascending.
+        covers are the edges outside ``redundant``. A second pass, in index
+        order, lists the lower covers ascending. ``_below`` is left to its
+        first reader.
         """
         n = len(labels)
         self._labels = tuple(labels)
@@ -166,21 +182,71 @@ class Poset:
                     path = [f[0] for f in stack]
                     cycle = path[path.index(j):] + [j]
                     raise CycleDetected(tuple(self._labels[k] for k in cycle))
-        below = [0] * n
-        for i in reversed(order):
-            down = below[i] | 1 << i
-            for j in ucov[i]:
-                below[j] |= down
-        dcov: list[list[int]] = [[] for _ in range(n)]
-        for i, ups in enumerate(ucov):
-            for j in ups:
-                dcov[j].append(i)
-        self._above = tuple(above)
-        self._below = tuple(below)
+        self._above_masks = tuple(above)
+        self._below_masks = None
         self._ucov = tuple(ucov)
-        self._dcov = tuple(map(tuple, dcov))
+        self._dcov = _lower_covers(ucov)
         self._order = tuple(order)
         self._memo: dict = {}
+
+    @classmethod
+    def _from_covers(cls, labels: tuple[str, ...], index: dict[str, int],
+                     ucov: Sequence[tuple[int, ...]],
+                     order: tuple[int, ...]) -> Poset:
+        """The poset whose cover relation is ``ucov``, without a closure.
+
+        Trusted input, not checked: ``index`` maps ``labels`` to their
+        positions, ``ucov[i]`` lists ascending indices and is already the
+        cover relation (no edge is implied by others), and ``order`` lists
+        every index after all its upper covers. Only the lower covers are
+        built here; the order masks are filled when first read.
+        """
+        p = cls.__new__(cls)
+        p._labels = labels
+        p._index = index
+        p._above_masks = p._below_masks = None
+        p._ucov = tuple(ucov)
+        p._dcov = _lower_covers(ucov)
+        p._order = order
+        p._memo = {}
+        return p
+
+    @property
+    def _above(self) -> tuple[int, ...]:
+        """Masks of the elements strictly above each element.
+
+        Filled in successors-first order: an element's upper covers, and
+        all above them, are done before it.
+        """
+        above = self._above_masks
+        if above is None:
+            masks = [0] * len(self._labels)
+            ucov = self._ucov
+            for i in self._order:
+                up = 0
+                for j in ucov[i]:
+                    up |= masks[j] | 1 << j
+                masks[i] = up
+            above = self._above_masks = tuple(masks)
+        return above
+
+    @property
+    def _below(self) -> tuple[int, ...]:
+        """Masks of the elements strictly below each element.
+
+        Filled in reverse successors-first order, each element complete
+        before it is pushed into its upper covers.
+        """
+        below = self._below_masks
+        if below is None:
+            masks = [0] * len(self._labels)
+            ucov = self._ucov
+            for i in reversed(self._order):
+                down = masks[i] | 1 << i
+                for j in ucov[i]:
+                    masks[j] |= down
+            below = self._below_masks = tuple(masks)
+        return below
 
     # ------------------------------------------------------------------
     # construction
@@ -243,9 +309,9 @@ class Poset:
 
     def relations(self) -> tuple[tuple[str, str], ...]:
         """All strict pairs (x, y) with x < y, sorted lexicographically."""
-        return tuple((self._labels[i], self._labels[j])
-                     for i in range(len(self._labels))
-                     for j in _bits(self._above[i]))
+        labels = self._labels
+        return tuple((labels[i], labels[j])
+                     for i, up in enumerate(self._above) for j in _bits(up))
 
     def __len__(self) -> int:
         return len(self._labels)
@@ -294,11 +360,13 @@ class Poset:
     def leq(self, x: str, y: str) -> bool:
         """True iff x <= y."""
         ix, iy = self._i(x), self._i(y)
-        return ix == iy or bool(self._above[ix] >> iy & 1)
+        above = self._above_masks or self._above
+        return ix == iy or above[ix] >> iy & 1 == 1
 
     def lt(self, x: str, y: str) -> bool:
         """True iff x < y strictly."""
-        return bool(self._above[self._i(x)] >> self._i(y) & 1)
+        above = self._above_masks or self._above
+        return above[self._i(x)] >> self._i(y) & 1 == 1
 
     def comparable(self, x: str, y: str) -> bool:
         return self.leq(x, y) or self.leq(y, x)
@@ -310,12 +378,12 @@ class Poset:
         return tuple(self._labels[j] for j in self._dcov[self._i(x)])
 
     def minimal_elements(self) -> tuple[str, ...]:
-        return tuple(lab for i, lab in enumerate(self._labels)
-                     if not self._below[i])
+        return tuple(lab for lab, down in zip(self._labels, self._dcov)
+                     if not down)
 
     def maximal_elements(self) -> tuple[str, ...]:
-        return tuple(lab for i, lab in enumerate(self._labels)
-                     if not self._above[i])
+        return tuple(lab for lab, up in zip(self._labels, self._ucov)
+                     if not up)
 
     def strict_upset(self, x: str) -> frozenset[str]:
         """All elements strictly greater than x."""
@@ -331,7 +399,9 @@ class Poset:
         return frozenset(self._labels_of(self._interval_mask(ix, iy)))
 
     def _interval_mask(self, ix: int, iy: int) -> int:
-        return ((self._above[ix] | 1 << ix) & (self._below[iy] | 1 << iy))
+        above = self._above_masks or self._above
+        below = self._below_masks or self._below
+        return (above[ix] | 1 << ix) & (below[iy] | 1 << iy)
 
     # ------------------------------------------------------------------
     # chains and convexity
@@ -347,9 +417,10 @@ class Poset:
             raise EmptySet("a chain must contain at least one element")
         # x < y forces strictly fewer elements below x, so this sort is
         # ascending whenever the set really is a chain
-        idxs.sort(key=lambda i: self._below[i].bit_count())
+        below, above = self._below, self._above
+        idxs.sort(key=lambda i: below[i].bit_count())
         for a, b in zip(idxs, idxs[1:]):
-            if not self._above[a] >> b & 1:
+            if not above[a] >> b & 1:
                 raise NotAChain(
                     f"{self._labels[a]!r} and {self._labels[b]!r} "
                     "are incomparable")
@@ -371,11 +442,12 @@ class Poset:
         idxs = {self._i(x) for x in subset}
         if not idxs:
             raise EmptySet("convexity is defined for nonempty subsets")
+        above, below = self._above, self._below
         smask = up = down = 0
         for i in idxs:
             smask |= 1 << i
-            up |= self._above[i]
-            down |= self._below[i]
+            up |= above[i]
+            down |= below[i]
         # up & down holds exactly the z with x < z < y for some members x
         # and y (z above one member, below one); convexity asks each such z
         # to be a member, and z = x or z = y always is
@@ -393,7 +465,7 @@ class Poset:
     def _maximal_chains(self) -> tuple[tuple[str, ...], ...]:
         ucov, labels = self._ucov, self._labels
         return tuple(tuple(labels[k] for k in path)
-                     for i in range(len(labels)) if not self._below[i]
+                     for i, down in enumerate(self._dcov) if not down
                      for path in _dfs_paths(i, ucov)
                      if not ucov[path[-1]])
 
@@ -426,8 +498,9 @@ class Poset:
             smask |= 1 << i
         # renumbering keeps the order of the indices, so rows stay ascending
         pos = {old: new for new, old in enumerate(idxs)}
+        above = self._above
         return Poset(tuple(self._labels[i] for i in idxs),
-                     [tuple(pos[j] for j in _bits(self._above[old] & smask))
+                     [tuple(pos[j] for j in _bits(above[old] & smask))
                       for old in idxs])
 
     def opposite(self) -> Poset:
@@ -452,8 +525,10 @@ class Poset:
         """
         if not bound & (bound - 1):  # empty, or its own answer
             return bound.bit_length() - 1 if bound else None
-        far = self._above if up else self._below
-        near = self._ucov if up else self._dcov
+        if up:
+            far, near = self._above_masks or self._above, self._ucov
+        else:
+            far, near = self._below_masks or self._below, self._dcov
         x = a
         while not bound >> x & 1:
             for c in near[x]:
@@ -468,21 +543,18 @@ class Poset:
     def meet(self, a: str, b: str) -> str | None:
         """Greatest lower bound of a and b, or None when it does not exist."""
         ia, ib = self._i(a), self._i(b)
-        lower = ((self._below[ia] | 1 << ia) & (self._below[ib] | 1 << ib))
+        below = self._below_masks or self._below
+        lower = (below[ia] | 1 << ia) & (below[ib] | 1 << ib)
         top = self._greatest(ia, lower)
         return None if top is None else self._labels[top]
 
     def join(self, a: str, b: str) -> str | None:
         """Least upper bound of a and b, or None when it does not exist."""
         ia, ib = self._i(a), self._i(b)
-        upper = ((self._above[ia] | 1 << ia) & (self._above[ib] | 1 << ib))
+        above = self._above_masks or self._above
+        upper = (above[ia] | 1 << ia) & (above[ib] | 1 << ib)
         bot = self._greatest(ia, upper, up=True)
         return None if bot is None else self._labels[bot]
-
-    def _incomparable_above(self, a: int) -> int:
-        """Mask of the elements with a larger index than a, incomparable to a."""
-        return (((1 << len(self._labels)) - (2 << a))
-                & ~(self._above[a] | self._below[a]))
 
     def _pairs_sharing_a_lower_bound(self) -> Iterator[tuple[int, int]]:
         """Incomparable pairs a < b (by index) with a common lower bound.
@@ -492,6 +564,7 @@ class Poset:
         then b ascending; in a fence, a has at most two partners.
         """
         below, above = self._below, self._above
+        top = 1 << len(below)
         minimal = 0
         for i, down in enumerate(below):
             if not down:
@@ -502,7 +575,9 @@ class Poset:
             partners = 0
             for m in _bits(down & minimal):
                 partners |= above[m]
-            for b in _bits(partners & self._incomparable_above(a)):
+            # the elements with a larger index than a, incomparable to a
+            later = (top - (2 << a)) & ~(above[a] | down)
+            for b in _bits(partners & later):
                 yield a, b
 
     @_memoized

@@ -15,13 +15,15 @@ bridge of q either. So q has no bridge edges, and prune(q) = q.
 The fast route deletes the bridge edges from the cover digraph and takes
 reachability: a maximal chain of [x, y] is a cover path from x to y, and
 it contains a strict vein exactly when two consecutive entries form a
-bridge edge. The pruned poset is closed once from the non-bridge covers,
-and a poset without bridge edges is its own pruning. The definition-level
-route lives in :mod:`veinprune.oracle`; ``prune`` and ``iterate_prune``
-reach it with ``mode="oracle"``. Either route yields the same pruned
-poset, and a pass reports only that poset and the number of relations it
-removed. Witness chains come from one place, :func:`pruning_witness`: a
-walk on the pruned poset's covers, guided by its reachability.
+bridge edge. The pruned poset is built straight from the non-bridge
+covers, which are its covers, and its order is filled only when a caller
+reads it (a witness walk, ``removed_relations``); a poset without bridge
+edges is its own pruning. The definition-level route lives in
+:mod:`veinprune.oracle`; ``prune`` and ``iterate_prune`` reach it with
+``mode="oracle"``. Either route yields the same pruned poset, and a pass
+reports only that poset and the number of relations it removed. Witness
+chains come from one place, :func:`pruning_witness`: a walk on the pruned
+poset's covers, guided by its reachability.
 
 This module holds only the fast route and the ``mode`` dispatch. The fast
 pruned poset is an order by construction and is not checked again; the
@@ -49,16 +51,23 @@ class PruneWitness:
 
 @dataclass
 class PruneReport:
-    """What a single pruning pass produced.
+    """What a single pruning pass produced: the poset and its pruning.
 
-    ``removed_relations`` counts the strict pairs of ``original`` missing
-    from ``pruned``. The witness chain of a pruned pair comes from
-    :func:`pruning_witness`.
+    The witness chain of a pruned pair comes from :func:`pruning_witness`.
     """
 
     original: Poset
     pruned: Poset
-    removed_relations: int
+
+    @property
+    def removed_relations(self) -> int:
+        """The number of strict pairs of ``original`` missing from ``pruned``.
+
+        Computed on each read, from the order masks of both posets: a pass
+        whose count nobody reads never fills the pruned poset's order.
+        """
+        return (sum(m.bit_count() for m in self.original._above)
+                - sum(m.bit_count() for m in self.pruned._above))
 
 
 @dataclass
@@ -84,8 +93,14 @@ def _non_bridge_covers(p: Poset) -> list[tuple[int, ...]]:
 
 @_memoized
 def _built_pruned(p: Poset) -> Poset:
-    """The pruned poset, closed once from the non-bridge covers."""
-    return Poset(p._labels, _non_bridge_covers(p))
+    """The pruned poset, built from the non-bridge covers without a closure.
+
+    They are its covers (:func:`pruning_witness`, fact 1), and deleting
+    edges keeps p's successors-first order valid, so p's labels, index and
+    order are shared.
+    """
+    return Poset._from_covers(p._labels, p._index, _non_bridge_covers(p),
+                              p._order)
 
 
 def _pruned(p: Poset) -> Poset:
@@ -114,7 +129,7 @@ def pruning_witness(p: Poset, x: str, y: str) -> PruneWitness | None:
        stays a cover in the smaller order of q, and every cover of q is
        one of the edges q was built from.
     2. ``q._below[iy]`` is the set of elements from which y is reachable
-       along non-bridge covers.
+       along non-bridge covers, so x <* y exactly when it holds x.
 
     From x the walk steps to the lowest-index non-bridge upper cover from
     which y is still reachable, until it reaches y. Any such cover lies
@@ -126,9 +141,10 @@ def pruning_witness(p: Poset, x: str, y: str) -> PruneWitness | None:
     """
     q = _pruned(p)
     ix, iy = p._i(x), p._i(y)
-    if not q._above[ix] >> iy & 1:
+    below = (q._below_masks or q._below)[iy]
+    if not below >> ix & 1:
         return None  # x <* x never holds
-    reach = q._below[iy] | 1 << iy
+    reach = below | 1 << iy
     chain = [x]
     i = ix
     while i != iy:
@@ -145,7 +161,7 @@ def pruning_witness(p: Poset, x: str, y: str) -> PruneWitness | None:
 def prune(p: Poset, mode: str = "fast") -> PruneReport:
     """One pruning pass: the poset whose strict order is x <* y.
 
-    ``fast`` deletes the bridge edges and closes the remaining covers, once
+    ``fast`` deletes the bridge edges and keeps the remaining covers, once
     per poset (:func:`_pruned`). ``oracle`` builds the poset in
     :func:`veinprune.oracle.pruned`, which tests every strict pair and
     raises InternalOrderViolation unless they form a strict order inside p.
@@ -156,9 +172,7 @@ def prune(p: Poset, mode: str = "fast") -> PruneReport:
         pruned = oracle.pruned(p)
     else:
         raise ValueError(f"mode must be 'fast' or 'oracle', got {mode!r}")
-    removed = (sum(m.bit_count() for m in p._above)
-               - sum(m.bit_count() for m in pruned._above))
-    return PruneReport(original=p, pruned=pruned, removed_relations=removed)
+    return PruneReport(original=p, pruned=pruned)
 
 
 def iterate_prune(p: Poset, max_iters: int = 4, mode: str = "fast") -> PruneIteration:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from veinprune import (
     CycleDetected,
@@ -118,6 +119,81 @@ def test_non_ascii_whitespace_is_not_a_label(space):
     with pytest.raises(ParseError, match="not representable"):
         emit_text(PosetDocument(elements=[label], covers=[]))
 
+
+@pytest.mark.parametrize("text, line, message", [
+    # two '<' on one line
+    ("a < b\nb < c < d\n", 2,
+     "expected a single relation 'A < B'"),
+    ("<<\n", 1, "expected a single relation 'A < B'"),
+    # an empty side, before or after the comment is cut
+    ("a < b\n\nc <\n", 3, "bad label in relation 'c <'"),
+    ("  < d  # note\n", 1, "bad label in relation '< d'"),
+    ("a <   # b\n", 1, "bad label in relation 'a <'"),
+    # inner whitespace in a relation side
+    ("a b < c\n", 1, "bad label in relation 'a b < c'"),
+    ("a < b\tc\n", 1, "bad label in relation 'a < b\\tc'"),
+    # inner whitespace in an element
+    ("# x\nok\na b\n", 3,
+     "an element declaration must be a single token, got 'a b'"),
+    # NBSP is whitespace inside a label, and stripped around one
+    ("x\u00a0y < z\n", 1, "bad label in relation 'x\\xa0y < z'"),
+    ("\u00a0a < b\u00a0\nx\u00a0y\n", 2,
+     "an element declaration must be a single token, got 'x\\xa0y'"),
+    # U+2028 ends a line for splitlines, so it shifts the line count
+    ("a < b\u2028c d\n", 2,
+     "an element declaration must be a single token, got 'c d'"),
+    ("a\u2028< b\n", 2, "bad label in relation '< b'"),
+])
+def test_parse_text_error_messages(text, line, message):
+    with pytest.raises(ParseError) as exc:
+        parse_text(text)
+    assert exc.value.line == line
+    assert str(exc.value) == f"line {line}: {message}"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[]", "the top level must be an object"),
+    ('{"elements": [], "covers": [], "x": 1, "a": 2}',
+     "unknown keys: ['a', 'x']"),
+    ('{"elements": ["a"]}', "both 'elements' and 'covers' are required"),
+    ('{"covers": []}', "both 'elements' and 'covers' are required"),
+    ('{"elements": {}, "covers": []}',
+     "'elements' must be an array of nonempty strings"),
+    ('{"elements": [1], "covers": []}',
+     "'elements' must be an array of nonempty strings"),
+    ('{"elements": ["a", ""], "covers": []}',
+     "'elements' must be an array of nonempty strings"),
+    ('{"elements": ["a", "b", "a"], "covers": []}',
+     "'elements' contains duplicates"),
+    ('{"elements": ["a"], "covers": {}}',
+     "'covers' must be an array of pairs"),
+    ('{"elements": ["a"], "covers": [["a"]]}',
+     "every cover must be a two-element string array"),
+    ('{"elements": ["a", "b"], "covers": [["a", "b", "a"]]}',
+     "every cover must be a two-element string array"),
+    ('{"elements": ["a", "b"], "covers": ["ab"]}',
+     "every cover must be a two-element string array"),
+    ('{"elements": ["a", "b"], "covers": [["a", 1]]}',
+     "every cover must be a two-element string array"),
+    # a pair with a non-string entry is malformed, not an unknown label
+    ('{"elements": ["a"], "covers": [[null, "z"]]}',
+     "every cover must be a two-element string array"),
+    ('{"elements": ["a", "b"], "covers": [["a", "b"], ["z", "y"]]}',
+     "unknown label 'z' in covers"),
+    ('{"elements": ["a", "b"], "covers": [["a", "y"]]}',
+     "unknown label 'y' in covers"),
+    ('{"elements": ["a"], "covers": [], "name": 3}',
+     "'name' must be a string"),
+])
+def test_parse_json_error_messages(text, message):
+    # a document that opens with a brace fails as JSON in load_document too
+    for parse in (parse_json, load_document)[:1 + text.startswith("{")]:
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert exc.value.line is None
+        assert str(exc.value) == message
+
+
 def test_parse_json(a2):
     doc = parse_json('{"elements": ["a", "b"], "covers": []}')
     assert doc.to_poset() == a2
@@ -147,6 +223,43 @@ def test_emit_json_canonical(yp):
     assert data["covers"] == [["a", "b"], ["b", "c"], ["b", "d"]]
     assert out == emit_json(PosetDocument.from_poset(yp, name="Yp"))
     assert out.endswith("\n")
+
+
+# characters that JSON must escape, beside any other code point: a quote, a
+# backslash, control characters, non-ASCII text and lone surrogates
+_LABEL_CHARS = st.one_of(
+    st.sampled_from(['"', "\\", "\x00", "\t", "\n", "\x1f", "\x7f", "\u00e9",
+                     "\u2028", "\ud800", "\udfff", "\U0001f600", "a"]),
+    st.characters(exclude_categories=()))
+_LABELS = st.text(_LABEL_CHARS, min_size=1, max_size=6)
+
+
+@st.composite
+def documents(draw):
+    """Documents built field by field, so no poset checks the covers."""
+    elements = draw(st.lists(_LABELS, unique=True, max_size=6))
+    covers = []
+    if elements:
+        covers = draw(st.lists(st.tuples(st.sampled_from(elements),
+                                         st.sampled_from(elements)),
+                               max_size=6))
+    name = draw(st.none() | st.text(_LABEL_CHARS, max_size=6))
+    return PosetDocument(elements=elements, covers=covers, name=name)
+
+
+@given(documents())
+@example(PosetDocument(elements=[], covers=[]))
+@example(PosetDocument(elements=[], covers=[], name="empty"))
+@example(PosetDocument(elements=["b", "a"], covers=[], name=None))
+@example(PosetDocument(elements=["\u00e9", '"', "\\", "\t"],
+                       covers=[("\\", "\u00e9"), ('"', "\t")], name="x\ud800"))
+def test_emit_json_is_the_indented_json_dump(doc):
+    payload: dict = {}
+    if doc.name is not None:
+        payload["name"] = doc.name
+    payload["elements"] = sorted(doc.elements)
+    payload["covers"] = [list(pair) for pair in sorted(doc.covers)]
+    assert emit_json(doc) == json.dumps(payload, indent=2) + "\n"
 
 
 def test_json_round_trip(fx):

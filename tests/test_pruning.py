@@ -24,6 +24,7 @@ from veinprune import (
     strict_veins,
     suite,
 )
+from veinprune.cli import cli
 
 from test_scale import ladder
 
@@ -221,9 +222,44 @@ def test_iterate_prune_rejects_unknown_mode_without_iterating(c3):
         prune(c3, mode="quick")
 
 
-def test_a_pass_reports_only_its_poset_and_removed_count():
-    assert [f.name for f in fields(PruneReport)] == \
-        ["original", "pruned", "removed_relations"]
+def test_a_pass_reports_only_its_poset_and_removed_count(yp):
+    # the count is a property, so a pass whose count nobody reads never
+    # fills the pruned poset's order
+    assert [f.name for f in fields(PruneReport)] == ["original", "pruned"]
+    assert isinstance(PruneReport.removed_relations, property)
+    report = prune(yp)
+    assert {name for name in dir(report) if not name.startswith("_")} == \
+        {"original", "pruned", "removed_relations"}
+
+
+def test_prune_and_iterate_never_fill_the_pruned_order(tmp_path, monkeypatch,
+                                                        capsys):
+    # closures built per command: the CLI reads only the pruned poset's
+    # covers, so neither of its order mask tables may be filled
+    path = tmp_path / "broom.txt"
+    path.write_text("x < a\ny < a\na < b\nb < c\nc < d\nd < e\nd < f\n"
+                    "p < q\nq < r\n")
+    built = []
+    real = veinprune.pruning._built_pruned
+
+    def recording(p):
+        built.append(real(p))
+        return built[-1]
+
+    monkeypatch.setattr(veinprune.pruning, "_built_pruned", recording)
+    for argv, code in ((["prune"], 0), (["prune", "--format", "json"], 0),
+                       (["iterate"], 0), (["iterate", "--max", "1"], 1)):
+        built.clear()
+        assert cli(argv + [str(path)]) == code
+        [q] = built
+        assert len(q.covers) == 4  # x < a, y < a, d < e and d < f
+        assert q._above_masks is None and q._below_masks is None
+    capsys.readouterr()
+    # reading the count is what fills them
+    report = prune(Poset.from_relations("abc", [("a", "b"), ("b", "c")]))
+    assert report.pruned._above_masks is None
+    assert report.removed_relations == 3
+    assert report.pruned._above_masks is not None
 
 
 def test_pruned_partial_order_fails_a_pruning_that_keeps_its_bridges(

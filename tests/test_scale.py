@@ -353,9 +353,9 @@ def test_scattered_chains(chains_file, capsys, command):
 
 
 def test_scattered_chains_prune_memory(chains_file, capsys):
-    # measured 31.8 MB with the covers kept as masks and 19.2 MB with them
-    # as index tuples (117.5 and 63.7 MB at n = 20000): the closure masks
-    # still span every index though each element has at most three above it
+    # measured 12.7 MB; 19.2 MB while the pruned poset was closed again,
+    # and 31.8 MB with the covers kept as masks. p's closure masks still
+    # span every index though each element has at most three above it
     tracemalloc.start()
     try:
         assert cli(["prune", chains_file]) == 0
@@ -363,7 +363,7 @@ def test_scattered_chains_prune_memory(chains_file, capsys):
     finally:
         tracemalloc.stop()
     capsys.readouterr()
-    assert peak < 26 * 2**20
+    assert peak < 16 * 2**20
 
 
 def sparse_pairs(n: int, seed: int, mean_degree: float = 3.0):
@@ -463,8 +463,9 @@ def test_sparse_random_poset(sparse_case, capsys, command):
 
 
 def test_sparse_random_poset_prune_memory(sparse_case, capsys):
-    # measured 30.8 MB, and 51.1 MB with the covers kept as masks; the
-    # closure masks of both posets still span most of the index range
+    # measured 15.8 MB; 30.8 MB while the pruned poset was closed again,
+    # and 51.1 MB with the covers kept as masks. p's closure masks still
+    # span most of the index range
     tracemalloc.start()
     try:
         assert cli(["prune", sparse_case["path"]]) == 0
@@ -472,7 +473,7 @@ def test_sparse_random_poset_prune_memory(sparse_case, capsys):
     finally:
         tracemalloc.stop()
     capsys.readouterr()
-    assert peak < 36 * 2**20
+    assert peak < 20 * 2**20
 
 
 @pytest.mark.parametrize("command", ["info", "irr"])
