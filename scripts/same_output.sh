@@ -56,6 +56,7 @@ for fixture in C3 Yp Vee B3 A2; do
 done
 gen r9.txt random --size 9 --seed 11 --edge-prob 0.4
 gen chain5000.txt chain --size 5000
+gen chain150.txt chain --size 150
 # the benchmark's sparse_large shape
 gen sparse4000.txt random --size 4000 --seed 7 --edge-prob 0.001
 printf 'a < c\na < d\nb < c\nb < d\n' > bowtie.txt
@@ -86,8 +87,16 @@ cat > escapes.json <<'JSON'
  "covers": [["é", "\""], ["é", "\\"], ["\"", "a\tb"], ["\\", "a\tb"],
             ["a\tb", "z"]]}
 JSON
+# two bridge runs z m a and b y c whose labels do not sort in chain order,
+# so the vein listing interleaves them
+printf 'z < m\nm < a\nb < y\ny < c\n' > interleaved.txt
+# labels with spaces, which only JSON can write, on a run cut by a fork
+cat > spaces.json <<'JSON'
+{"elements": ["b a", "a b", "z", "a  c", " d"],
+ "covers": [["b a", "a b"], ["a b", "z"], ["z", "a  c"], ["z", " d"]]}
+JSON
 small+=(r9.txt bowtie.txt broom.txt readme7.txt empty.txt cyclic.txt
-  repeated.txt repeated.json escapes.json)
+  repeated.txt repeated.json escapes.json interleaved.txt spaces.json)
 
 for file in "${small[@]}" chain5000.txt ladder1000.txt sparse4000.txt; do
   same info "$file"
@@ -102,6 +111,8 @@ for file in "${small[@]}" chain5000.txt ladder1000.txt sparse4000.txt; do
   same irr "$file"
   same dot "$file"
 done
+# 11,175 strict veins, every sub-run of one bridge run
+same veins chain150.txt
 # the definition-level route, on inputs of at most 12 elements
 for file in "${small[@]}"; do
   same veins --mode oracle "$file"

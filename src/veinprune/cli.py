@@ -16,7 +16,7 @@ import argparse
 import os
 import sys
 
-from . import families, formats, pruning, suite, veins
+from . import families, formats, oracle, pruning, suite, veins
 from .errors import InternalOrderViolation, InvalidSpec, VeinpruneError
 from .irreducibles import profiles
 from .poset import Poset
@@ -80,19 +80,35 @@ def _cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
+def _block_lines(block: tuple[str, ...]) -> list[str]:
+    """The listing lines of the strict veins that start a block, in order:
+    each line is the one before it plus one label."""
+    lines = []
+    line = "  " + block[0]
+    for label in block[1:]:
+        line += " " + label
+        lines.append(line)
+    return lines
+
+
 def _cmd_veins(args: argparse.Namespace) -> int:
     p = _load(args.file).to_poset()
-    strict = veins.strict_veins(p, mode=args.mode)
-    if strict:
-        print(f"strict veins ({len(strict)}):")
-        for v in strict:
-            print("  " + " ".join(v))
-    else:
-        print("strict veins: none")
+    if args.mode == "oracle":
+        found = oracle.strict_veins(p)
+        count, groups = len(found), [["  " + " ".join(v) for v in found]]
+    else:  # one write per block: only one block's lines are held at once
+        blocks = veins._vein_blocks(p)
+        count = sum(len(block) - 1 for block in blocks)
+        groups = map(_block_lines, blocks)
+    write = sys.stdout.write
+    write(f"strict veins ({count}):\n" if count else "strict veins: none\n")
+    for lines in groups:
+        if lines:
+            write("\n".join(lines) + "\n")
     maximal = veins.maximal_veins(p)
-    print(f"maximal veins ({len(maximal)}):")
-    for v in maximal:
-        print("  " + " ".join(v))
+    lines = [f"maximal veins ({len(maximal)}):"]
+    lines += ["  " + " ".join(v) for v in maximal]
+    write("\n".join(lines) + "\n")
     return 0
 
 
@@ -132,15 +148,16 @@ def _cmd_irr(args: argparse.Namespace) -> int:
     p = _load(args.file).to_poset()
     prof = profiles(p)
     width = max(map(len, ("element",) + p.labels))
-    print(f"{'element':<{width}}  irreducible  coirreducible  doubly")
+    lines = [f"{'element':<{width}}  irreducible  coirreducible  doubly"]
     for x in p.labels:
         entry = prof[x]
-        print(f"{x:<{width}}  {_yn(entry.irreducible):<11}  "
-              f"{_yn(entry.coirreducible):<13}  {_yn(entry.doubly)}")
+        lines.append(f"{x:<{width}}  {_yn(entry.irreducible):<11}  "
+                     f"{_yn(entry.coirreducible):<13}  {_yn(entry.doubly)}")
     if not p.is_conditionally_complete():
-        print("conditionally complete: no (preservation not evaluated)")
+        lines.append("conditionally complete: no (preservation not evaluated)")
     else:  # a theorem, proved in the veinprune.irreducibles docstring
-        print("preserved under pruning: yes")
+        lines.append("preserved under pruning: yes")
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 

@@ -223,14 +223,15 @@ def emit_dot(p: Poset, highlight: dict) -> str:
     Output is byte deterministic.
     """
     heights = p.heights()
+    quoted = [_dot_quote(label) for label in p.labels]
     lines = ["digraph poset {", "  rankdir=BT;", "  node [shape=circle];"]
     by_level: dict[int, list[str]] = {}
-    for label in p.labels:
-        by_level.setdefault(heights[label], []).append(label)
+    for label, name in zip(p.labels, quoted):  # labels ascending
+        by_level.setdefault(heights[label], []).append(name)
     for level in sorted(by_level):
-        row = " ".join(f"{_dot_quote(lab)};" for lab in sorted(by_level[level]))
+        row = " ".join(f"{name};" for name in by_level[level])
         lines.append(f"  {{ rank=same; {row} }}")
-    for label in p.labels:
+    for label, name in zip(p.labels, quoted):
         entry = highlight.get(label)
         attrs = []
         if entry is not None and entry.irreducible:
@@ -238,8 +239,9 @@ def emit_dot(p: Poset, highlight: dict) -> str:
         if entry is not None and entry.coirreducible:
             attrs.append("peripheries=2")
         if attrs:
-            lines.append(f"  {_dot_quote(label)} [{', '.join(attrs)}];")
-    for a, b in p.covers:
-        lines.append(f"  {_dot_quote(a)} -> {_dot_quote(b)};")
+            lines.append(f"  {name} [{', '.join(attrs)}];")
+    for i, ups in enumerate(p._ucov):  # the covers, sorted
+        for j in ups:
+            lines.append(f"  {quoted[i]} -> {quoted[j]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -183,13 +183,17 @@ def iterate_prune(p: Poset, max_iters: int = 4, mode: str = "fast") -> PruneIter
     is its own pruning, else [p, q, q] and 1, cut to ``max_iters`` passes
     (index None when the cap is hit first). An unknown ``mode`` raises
     ValueError even when ``max_iters`` is 0.
+
+    Pruning deletes exactly the bridge edges, so p is its own pruning iff
+    it has none; both routes build the same q, so the bridge runs decide
+    the fixpoint without comparing q with p.
     """
     if mode not in ("fast", "oracle"):
         raise ValueError(f"mode must be 'fast' or 'oracle', got {mode!r}")
     if max_iters < 1:
         return PruneIteration(posets=[p], fixpoint_index=None)
     q = prune(p, mode).pruned
-    if q == p:
+    if not _bridge_runs(p):
         return PruneIteration(posets=[p, q], fixpoint_index=0)
     if max_iters == 1:
         return PruneIteration(posets=[p, q], fixpoint_index=None)

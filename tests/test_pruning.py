@@ -20,11 +20,13 @@ from veinprune import (
     prune,
     pruning_leq,
     pruning_witness,
+    random_poset,
     star_chain_check,
     strict_veins,
     suite,
 )
 from veinprune.cli import cli
+from veinprune.veins import _bridge_runs
 
 from test_scale import ladder
 
@@ -213,6 +215,22 @@ def test_iterate_prune_prunes_once(yp, b3, monkeypatch):
     it = iterate_prune(b3)
     assert calls == [b3]
     assert (it.posets, it.fixpoint_index) == ([b3, b3], 0)
+
+
+def test_the_bridge_runs_decide_the_fixpoint(fx):
+    # p is its own pruning exactly when it has no bridge edge, on either
+    # route: iterate_prune reads _bridge_runs instead of comparing posets
+    corpus = list(fx.values()) + [random_poset(n, seed, prob)
+                                  for n in range(1, 9) for seed in range(8)
+                                  for prob in (0.2, 0.5)]
+    for p in corpus:
+        fixed = not _bridge_runs(p)
+        assert (prune(p).pruned == p) == fixed
+        for mode in ("fast", "oracle"):
+            it = iterate_prune(p, mode=mode)
+            assert it.fixpoint_index == (0 if fixed else 1)
+            assert it.posets[-1] == it.posets[-2] == prune(p).pruned
+            assert len(it.posets) == (2 if fixed else 3)
 
 
 def test_iterate_prune_rejects_unknown_mode_without_iterating(c3):

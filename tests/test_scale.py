@@ -107,6 +107,32 @@ def test_info_on_long_chain(chain1500_file, capsys):
     assert elapsed < 8.0
 
 
+def test_veins_on_chain(tmp_path, capsys):
+    # 19,900 strict veins in 6.5 MB of output: every sub-run of one run
+    path = _write(tmp_path, chain_poset(200), "chain200.txt")
+    code, out, elapsed = _timed_cli(["veins", path], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "strict veins (19900):"
+    assert lines[1] == "  e000 e001"
+    assert lines[19900] == "  e198 e199"
+    assert lines[19901:] == ["maximal veins (1):",
+                             "  " + " ".join(f"e{i:03d}" for i in range(200))]
+    # measured at most 14 ms, and 125 ms while every vein was a sorted
+    # tuple; the floor of 0.25 s holds as elsewhere in this file
+    assert elapsed < 0.25
+    tracemalloc.start()
+    try:
+        assert cli(["veins", path]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    # measured 7.5 MB, most of it the captured output; 17.7 MB while
+    # every vein was a sorted tuple
+    assert peak < 10 * 2**20
+
+
 @pytest.fixture(scope="module")
 def wide_files(tmp_path_factory):
     """chain(5000) and antichain(5000): n(n-1)/2 relations, or none at all."""

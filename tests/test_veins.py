@@ -1,15 +1,20 @@
 from __future__ import annotations
 
 import ast
+import contextlib
 import importlib
+import io
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from veinprune import (
     EmptySet,
     NotAChain,
     Poset,
+    PosetDocument,
     SetFamily,
     TooLarge,
     UnknownLabel,
@@ -25,6 +30,9 @@ from veinprune import (
     strict_veins,
     vein_family,
 )
+from veinprune.cli import cli
+from veinprune.formats import emit_json
+from veinprune.veins import _bridge_runs
 
 
 def test_is_irreducible_chain(yp, b3):
@@ -107,6 +115,68 @@ def test_strict_veins_modes_agree(fx):
         assert strict_veins(p, mode="fast") == strict_veins(p, mode="oracle")
     with pytest.raises(ValueError):
         strict_veins(fx["C3"], mode="quick")
+
+
+@st.composite
+def interleaved_runs(draw, max_size=12):
+    """Chains interleaved along a random topological order, plus extra
+    edges that may cut them into shorter bridge runs.
+
+    The order is a permutation of the labels, so chain order and label
+    order disagree, and the labels may contain spaces (JSON writes them).
+    """
+    labels = draw(st.lists(st.text(alphabet="ab z", min_size=1, max_size=3),
+                           min_size=1, max_size=max_size, unique=True))
+    order = draw(st.permutations(labels))
+    chain_of = draw(st.lists(st.integers(min_value=0, max_value=3),
+                             min_size=len(order), max_size=len(order)))
+    last: dict[int, str] = {}
+    pairs = []
+    for x, c in zip(order, chain_of):
+        if c in last:
+            pairs.append((last[c], x))
+        last[c] = x
+    forward = [(order[i], order[j]) for i in range(len(order))
+               for j in range(i + 1, len(order))]
+    if forward:
+        pairs += draw(st.lists(st.sampled_from(forward), max_size=3))
+    return Poset.from_relations(labels, pairs)
+
+
+def _sub_runs(p: Poset) -> list[tuple[str, ...]]:
+    out = []
+    for run in _bridge_runs(p):
+        chain = [p.labels[k] for k in run]
+        out += [tuple(chain[lo:hi]) for lo in range(len(chain))
+                for hi in range(lo + 2, len(chain) + 1)]
+    return sorted(out)
+
+
+@given(interleaved_runs())
+def test_strict_veins_are_the_sorted_sub_runs(p):
+    veins = strict_veins(p)
+    assert veins == _sub_runs(p)
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "p.json"
+        path.write_text(emit_json(PosetDocument.from_poset(p)),
+                        encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli(["veins", str(path)]) == 0
+    lines = out.getvalue().splitlines()
+    header = f"strict veins ({len(veins)}):" if veins else "strict veins: none"
+    assert lines[0] == header
+    end = lines.index(f"maximal veins ({len(maximal_veins(p))}):")
+    assert lines[1:end] == ["  " + " ".join(v) for v in veins]
+
+
+def test_interleaved_runs_list_in_label_order():
+    # two bridge runs z m a and b y c whose labels do not sort in chain order
+    p = Poset.from_relations("zmabyc", [("z", "m"), ("m", "a"),
+                                         ("b", "y"), ("y", "c")])
+    assert strict_veins(p) == [("b", "y"), ("b", "y", "c"), ("m", "a"),
+                               ("y", "c"), ("z", "m"), ("z", "m", "a")]
+    assert strict_veins(p) == strict_veins(p, mode="oracle")
 
 
 def test_maximal_veins_frozen(c3, yp, a2, vee):
