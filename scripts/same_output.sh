@@ -59,6 +59,49 @@ gen chain5000.txt chain --size 5000
 gen chain150.txt chain --size 150
 # the benchmark's sparse_large shape
 gen sparse4000.txt random --size 4000 --seed 7 --edge-prob 0.001
+# gen itself: every kind with its defaults and with explicit options,
+# sizes below 1 and past the caps, each option a kind rejects (the first
+# of two rejected options is the one named), edge probabilities out of
+# range, bad kinds and values, and the help
+same gen --help
+kinds=(chain antichain boolean fence random downset_lattice)
+for kind in "${kinds[@]}"; do
+  same gen "$kind"
+  for size in -1 0 3 11; do
+    same gen "$kind" --size "$size"
+  done
+done
+same gen fence --size 6
+same gen random --size 7 --seed 5 --edge-prob 0.6
+same gen random --seed 5
+same gen random --edge-prob 0.6
+same gen random --size 12 --edge-prob 1
+same gen random --size 12 --edge-prob 0
+same gen downset_lattice --size 3 --seed 5
+same gen downset_lattice --seed 2
+for kind in chain antichain boolean fence; do
+  same gen "$kind" --seed 1
+  same gen "$kind" --edge-prob 0.5
+  same gen "$kind" --size 3 --edge-prob 0.5 --seed 1
+done
+same gen downset_lattice --edge-prob 0.5
+same gen downset_lattice --size 0 --edge-prob 0.5
+for fixture in C3 Yp Vee B3 A2; do
+  same gen "$fixture" --size 1
+  same gen "$fixture" --seed 0
+  same gen "$fixture" --edge-prob 0.5
+done
+same gen C3 --edge-prob 0.5 --size 7 --seed 3
+for prob in 1.5 nan -0.1 inf; do
+  same gen random --size 5 --edge-prob "$prob"
+done
+same gen random --size 0 --edge-prob 1.5
+same gen random --size -1 --edge-prob nan
+same gen mystery
+same gen named
+same gen
+same gen chain --size x
+same gen random --edge-prob x
 printf 'a < c\na < d\nb < c\nb < d\n' > bowtie.txt
 # a bridge run a b c d from a join of two covers to a fork, and a run
 # p q r that is a whole component

@@ -36,8 +36,6 @@ from .errors import (
 )
 from .families import (
     FIXTURE_NAMES,
-    KINDS,
-    GenSpec,
     antichain_poset,
     boolean_poset,
     chain_poset,
@@ -45,7 +43,6 @@ from .families import (
     downset_lattice,
     fence_poset,
     fixtures,
-    generate,
     random_corpus,
     random_poset,
 )

@@ -189,26 +189,34 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 1
 
 
+# each kind's builder and the options it takes; an option left out takes
+# the builder's default, and a fixture takes no option
+_GEN_KINDS = {
+    "chain": (families.chain_poset, ("size",)),
+    "antichain": (families.antichain_poset, ("size",)),
+    "boolean": (families.boolean_poset, ("size",)),
+    "fence": (families.fence_poset, ("size",)),
+    "random": (families.random_poset, ("size", "seed", "edge_prob")),
+    "downset_lattice": (families.downset_lattice, ("size", "seed")),
+}
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     kind = args.kind
-    # a fixture name is not in KINDS, so it takes none of these options
-    for flag, value, kinds in (
-            ("--size", args.size, families.KINDS),
-            ("--seed", args.seed, ("random", "downset_lattice")),
-            ("--edge-prob", args.edge_prob, ("random",))):
-        if value is not None and kind not in kinds:
+    build, takes = _GEN_KINDS.get(kind, (None, ()))
+    given = {key: value for key in ("size", "seed", "edge_prob")
+             if (value := getattr(args, key)) is not None}
+    for key in given:
+        if key not in takes:
+            flag = "--" + key.replace("_", "-")
             raise InvalidSpec(f"{flag} does not apply to kind {kind!r}")
-    given = {key: value for key, value in
-             (("size", args.size), ("seed", args.seed)) if value is not None}
-    if kind in families.FIXTURE_NAMES:
-        spec = families.GenSpec(kind="named", name=kind)
-    elif kind == "random":
-        prob = 0.3 if args.edge_prob is None else args.edge_prob
-        spec = families.GenSpec(kind="random", edge_prob=prob, **given)
+    if build is None:
+        poset, name = families.fixtures()[kind], kind
     else:
-        spec = families.GenSpec(kind=kind, **given)
-    poset = families.generate(spec)
-    name = kind if kind in families.FIXTURE_NAMES else None
+        size = given.pop("size", 1)
+        if size < 1:
+            raise InvalidSpec(f"size must be at least 1, got {size}")
+        poset, name = build(size, **given), None
     doc = formats.PosetDocument.from_poset(poset, name=name)
     sys.stdout.write(formats.emit_text(doc))
     return 0
@@ -276,8 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = command("gen", _cmd_gen, "emit a generated poset", file_arg=False)
     sp.add_argument("kind", metavar="KIND",
-                    choices=families.KINDS[:4] + ("random", "downset_lattice")
-                    + families.FIXTURE_NAMES,
+                    choices=(*_GEN_KINDS, *families.FIXTURE_NAMES),
                     help="chain, antichain, boolean, fence, random, "
                          "downset_lattice, or a fixture name "
                          "(C3, Yp, Vee, B3, A2)")

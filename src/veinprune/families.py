@@ -1,25 +1,26 @@
 """Poset generators, named fixtures, and seeded corpora.
 
 Randomness is driven by ``random.Random`` (the Mersenne Twister), which is
-portable and stable across platforms and Python versions, so a generator
-description (kind, size, seed) always yields a bit-for-bit identical
+portable and stable across platforms and Python versions, so a builder
+called with the same size and seed always yields a bit-for-bit identical
 poset. Random posets draw each pair (i, j) with i < j in a fixed element
 order as a Bernoulli edge and take the transitive closure; the result is
 acyclic by construction.
+
+Each builder checks its own input and raises InvalidSpec: no size may be
+negative, a random poset needs at least one element and an edge
+probability in [0, 1], a corpus a largest size of at least one, and the
+Boolean and down-set lattices are capped.
 """
 
 from __future__ import annotations
 
 import random
 import string
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InvalidSpec
 from .poset import Poset, _bits
-
-KINDS = ("chain", "antichain", "boolean", "fence", "named", "random",
-         "downset_lattice")
 
 FIXTURE_NAMES = ("C3", "Yp", "Vee", "B3", "A2")
 
@@ -27,7 +28,13 @@ _MAX_BOOLEAN = 10
 _MAX_DOWNSET_BASE = 10
 
 
+def _check_size(n: int) -> None:
+    if n < 0:
+        raise InvalidSpec(f"size must not be negative, got {n}")
+
+
 def _labels_for(n: int) -> list[str]:
+    _check_size(n)
     if n <= 26:
         return list(string.ascii_lowercase[:n])
     width = len(str(n - 1))
@@ -57,6 +64,7 @@ def fence_poset(n: int) -> Poset:
 
 def boolean_poset(k: int) -> Poset:
     """The power set of {1, ..., k} ordered by inclusion."""
+    _check_size(k)
     if k > _MAX_BOOLEAN:
         raise InvalidSpec(f"boolean size {k} exceeds the cap {_MAX_BOOLEAN}")
 
@@ -77,7 +85,7 @@ def boolean_poset(k: int) -> Poset:
     return Poset.from_relations(labels, pairs)
 
 
-def random_poset(size: int, seed: int, edge_prob: float = 0.3) -> Poset:
+def random_poset(size: int, seed: int = 0, edge_prob: float = 0.3) -> Poset:
     """Bernoulli upper-triangular random poset, deterministic in the seed."""
     if size < 1:
         raise InvalidSpec(f"size must be at least 1, got {size}")
@@ -93,7 +101,7 @@ def random_poset(size: int, seed: int, edge_prob: float = 0.3) -> Poset:
     return Poset.from_relations(labels, pairs)
 
 
-def downset_lattice(base_size: int, seed: int) -> Poset:
+def downset_lattice(base_size: int, seed: int = 0) -> Poset:
     """The lattice of down-sets of a random base poset, by inclusion.
 
     The base poset is drawn with edge probability 0.5. Down-set lattices
@@ -123,57 +131,6 @@ def downset_lattice(base_size: int, seed: int) -> Poset:
     return Poset.from_relations(labels, pairs)
 
 
-@dataclass(frozen=True)
-class GenSpec:
-    """A reproducible description of a generated poset.
-
-    ``edge_prob`` must be present exactly for kind ``random``; ``name``
-    must be present exactly for kind ``named``.
-    """
-
-    kind: str
-    size: int = 1
-    seed: int = 0
-    edge_prob: float | None = None
-    name: str | None = None
-
-    def validate(self) -> None:
-        if self.kind not in KINDS:
-            raise InvalidSpec(f"unknown kind {self.kind!r}")
-        if self.size < 1:
-            raise InvalidSpec(f"size must be at least 1, got {self.size}")
-        if (self.edge_prob is not None) != (self.kind == "random"):
-            raise InvalidSpec("edge_prob is required for kind 'random' "
-                              "and forbidden otherwise")
-        if self.edge_prob is not None and not 0.0 <= self.edge_prob <= 1.0:
-            raise InvalidSpec(
-                f"edge_prob must lie in [0, 1], got {self.edge_prob}")
-        if (self.name is not None) != (self.kind == "named"):
-            raise InvalidSpec("name is required for kind 'named' "
-                              "and forbidden otherwise")
-        if self.name is not None and self.name not in FIXTURE_NAMES:
-            raise InvalidSpec(f"unknown fixture {self.name!r}; "
-                              f"choose from {FIXTURE_NAMES}")
-
-
-def generate(spec: GenSpec) -> Poset:
-    """Build the poset a GenSpec describes; InvalidSpec on bad input."""
-    spec.validate()
-    if spec.kind == "chain":
-        return chain_poset(spec.size)
-    if spec.kind == "antichain":
-        return antichain_poset(spec.size)
-    if spec.kind == "boolean":
-        return boolean_poset(spec.size)
-    if spec.kind == "fence":
-        return fence_poset(spec.size)
-    if spec.kind == "named":
-        return fixtures()[spec.name]
-    if spec.kind == "random":
-        return random_poset(spec.size, spec.seed, spec.edge_prob)
-    return downset_lattice(spec.size, spec.seed)
-
-
 def fixtures() -> dict[str, Poset]:
     """The five named reference posets used throughout the test corpus."""
     return {
@@ -190,6 +147,8 @@ def fixtures() -> dict[str, Poset]:
 def random_corpus(count: int, max_size: int, seed: int,
                   edge_prob: float = 0.3) -> list[Poset]:
     """A reproducible list of random posets with sizes up to ``max_size``."""
+    if max_size < 1:
+        raise InvalidSpec(f"max_size must be at least 1, got {max_size}")
     rng = random.Random(seed)
     out = []
     for _ in range(count):
@@ -200,6 +159,9 @@ def random_corpus(count: int, max_size: int, seed: int,
 
 def downset_corpus(count: int, max_base_size: int, seed: int) -> list[Poset]:
     """A reproducible list of down-set lattices with small bases."""
+    if max_base_size < 1:
+        raise InvalidSpec(
+            f"max_base_size must be at least 1, got {max_base_size}")
     rng = random.Random(seed)
     out = []
     for _ in range(count):

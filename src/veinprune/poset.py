@@ -415,10 +415,11 @@ class Poset:
         idxs = sorted({self._i(x) for x in subset})
         if not idxs:
             raise EmptySet("a chain must contain at least one element")
-        # x < y forces strictly fewer elements below x, so this sort is
-        # ascending whenever the set really is a chain
-        below, above = self._below, self._above
-        idxs.sort(key=lambda i: below[i].bit_count())
+        # x < y forces strictly more elements above x, so this sort is
+        # ascending whenever the set really is a chain; it reads only the
+        # masks the constructor keeps
+        above = self._above
+        idxs.sort(key=lambda i: above[i].bit_count(), reverse=True)
         for a, b in zip(idxs, idxs[1:]):
             if not above[a] >> b & 1:
                 raise NotAChain(

@@ -253,6 +253,61 @@ def test_gen_rejects_edge_prob_elsewhere(capsys):
         assert "error:" in capsys.readouterr().err
 
 
+def test_gen_rejections_name_their_rule(capsys):
+    for argv, message in (
+            (["chain", "--size", "3", "--edge-prob", "0.5"],
+             "--edge-prob does not apply to kind 'chain'"),
+            # the first rejected option is named, in the order size, seed,
+            # edge probability
+            (["chain", "--edge-prob", "0.5", "--seed", "1"],
+             "--seed does not apply to kind 'chain'"),
+            (["downset_lattice", "--edge-prob", "0.5"],
+             "--edge-prob does not apply to kind 'downset_lattice'"),
+            (["B3", "--edge-prob", "0.5", "--size", "3"],
+             "--size does not apply to kind 'B3'"),
+            (["chain", "--size", "0"], "size must be at least 1, got 0"),
+            (["fence", "--size", "-1"], "size must be at least 1, got -1"),
+            (["random", "--size", "0", "--edge-prob", "1.5"],
+             "size must be at least 1, got 0"),
+            (["random", "--edge-prob", "1.5"],
+             "edge_prob must lie in [0, 1], got 1.5"),
+            (["random", "--edge-prob", "nan"],
+             "edge_prob must lie in [0, 1], got nan"),
+            (["boolean", "--size", "11"],
+             "boolean size 11 exceeds the cap 10"),
+            (["downset_lattice", "--size", "11"],
+             "base size 11 exceeds the cap 10")):
+        assert cli(["gen"] + argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    for kind in ("mystery", "named"):  # not a kind, and not a fixture
+        assert cli(["gen", kind]) == 2
+        assert f"invalid choice: '{kind}'" in capsys.readouterr().err
+
+
+def test_gen_kinds_equal_their_builders(capsys, b3):
+    def text(poset, name=None):
+        return emit_text(PosetDocument.from_poset(poset, name=name))
+
+    for argv, expected in (
+            (["chain"], text(veinprune.chain_poset(1))),
+            (["chain", "--size", "3"], text(veinprune.chain_poset(3))),
+            (["antichain", "--size", "4"], text(veinprune.antichain_poset(4))),
+            (["fence", "--size", "5"], text(veinprune.fence_poset(5))),
+            (["boolean", "--size", "3"], text(b3)),
+            (["B3"], text(b3, "B3")),
+            (["random", "--size", "5", "--seed", "2", "--edge-prob", "0.7"],
+             text(veinprune.random_poset(5, seed=2, edge_prob=0.7))),
+            # the seed defaults to 0 and the edge probability to 0.3
+            (["random", "--size", "9"],
+             text(veinprune.random_poset(9, seed=0, edge_prob=0.3))),
+            (["downset_lattice", "--size", "3", "--seed", "5"],
+             text(veinprune.downset_lattice(3, seed=5))),
+            (["downset_lattice", "--size", "3"],
+             text(veinprune.downset_lattice(3, seed=0)))):
+        assert cli(["gen"] + argv) == 0
+        assert capsys.readouterr().out == expected
+
+
 def test_parser_is_built_once(monkeypatch, capsys):
     def boom():
         raise RuntimeError("the parser was rebuilt")

@@ -3,7 +3,6 @@ from __future__ import annotations
 import pytest
 
 from veinprune import (
-    GenSpec,
     InvalidSpec,
     Poset,
     antichain_poset,
@@ -13,7 +12,6 @@ from veinprune import (
     downset_lattice,
     fence_poset,
     fixtures,
-    generate,
     random_corpus,
     random_poset,
 )
@@ -24,10 +22,8 @@ def test_chain_poset():
     assert p.labels == ("a", "b", "c", "d")
     assert p.covers == (("a", "b"), ("b", "c"), ("c", "d"))
     assert chain_poset(1).covers == ()
-    # the raw builders allow the empty poset; GenSpec is what enforces size
+    # the builders allow the empty poset; `veinprune gen` asks for size 1
     assert len(chain_poset(0)) == 0
-    with pytest.raises(InvalidSpec):
-        generate(GenSpec(kind="chain", size=0))
 
 
 def test_antichain_poset():
@@ -60,6 +56,7 @@ def test_random_poset_deterministic():
     assert a == b
     assert len(a) == 8
     assert a != random_poset(8, seed=8) or a.relations() == ()
+    assert random_poset(8) == random_poset(8, seed=0, edge_prob=0.3)
     with pytest.raises(InvalidSpec):
         random_poset(0, seed=1)
     with pytest.raises(InvalidSpec):
@@ -77,6 +74,7 @@ def test_downset_lattice():
     p = downset_lattice(3, seed=5)
     assert p.is_conditionally_complete()
     assert downset_lattice(3, seed=5) == p
+    assert downset_lattice(3) == downset_lattice(3, seed=0)
     # downsets are closed under union and intersection, so extremes exist
     assert len(p.minimal_elements()) == 1
     assert len(p.maximal_elements()) == 1
@@ -84,31 +82,16 @@ def test_downset_lattice():
         downset_lattice(11, seed=0)
 
 
-def test_genspec_validation():
-    with pytest.raises(InvalidSpec):
-        generate(GenSpec(kind="mystery", size=3))
-    with pytest.raises(InvalidSpec):
-        generate(GenSpec(kind="chain", size=3, edge_prob=0.5))
-    with pytest.raises(InvalidSpec):
-        generate(GenSpec(kind="random", size=3, name="C3"))
-    with pytest.raises(InvalidSpec):
-        generate(GenSpec(kind="named", size=3))
-    with pytest.raises(InvalidSpec):
-        generate(GenSpec(kind="named", name="nope"))
-
-
-def test_genspec_generate(b3):
-    assert generate(GenSpec(kind="chain", size=3)) == chain_poset(3)
-    assert generate(GenSpec(kind="boolean", size=3)) == b3
-    assert generate(GenSpec(kind="named", name="B3")) == b3
-    # a random GenSpec spells out its edge probability; no hidden default
-    assert generate(
-        GenSpec(kind="random", size=5, seed=2, edge_prob=0.7)
-    ) == random_poset(5, seed=2, edge_prob=0.7)
-    with pytest.raises(InvalidSpec):
-        generate(GenSpec(kind="random", size=5, seed=2))
-    assert generate(GenSpec(kind="downset_lattice", size=3, seed=5)) == \
-        downset_lattice(3, seed=5)
+def test_builders_reject_negative_sizes():
+    # unchecked, a negative size would slice the alphabet from its end
+    # (chain_poset(-1) would have 25 elements, boolean_poset(-1) none)
+    for build in (chain_poset, antichain_poset, fence_poset, boolean_poset,
+                  random_poset, downset_lattice):
+        for size in (-1, -5):
+            with pytest.raises(InvalidSpec, match=f"got {size}$"):
+                build(size)
+    for build in (chain_poset, antichain_poset, fence_poset):
+        assert len(build(0)) == 0
 
 
 def test_fixtures(c3, yp):
@@ -132,3 +115,10 @@ def test_downset_corpus():
     assert len(corpus) == 10
     assert corpus == downset_corpus(10, 5, seed=4)
     assert all(p.is_conditionally_complete() for p in corpus)
+
+
+def test_corpora_reject_an_empty_size_range():
+    for build in (random_corpus, downset_corpus):
+        for largest in (0, -2):
+            with pytest.raises(InvalidSpec, match=f"at least 1, got {largest}"):
+                build(3, largest, 1)

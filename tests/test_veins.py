@@ -90,6 +90,20 @@ def test_is_vein(yp, b3, c3):
             vein(yp, {"a", "zz"})
 
 
+def test_is_vein_leaves_the_lower_masks_unfilled():
+    # as_chain sorts by the upper masks the constructor keeps, so a vein
+    # query costs O(|subset|) and not the downward closure of the poset
+    p = Poset.from_relations(
+        "abcdef", [("a", "b"), ("b", "c"), ("c", "d"), ("c", "e")])
+    assert p._below_masks is None
+    assert p.as_chain({"d", "a", "c"}) == ("a", "c", "d")
+    assert is_vein(p, {"c", "a", "b"})
+    assert not is_vein(p, {"c", "d"})  # c has two upper covers
+    assert not is_vein(p, {"d", "e"})  # not a chain
+    assert not p.is_chain({"f", "a"})
+    assert p._below_masks is None
+
+
 def test_bridge_edges(yp, c3, b3, vee):
     assert bridge_edges(yp) == {("a", "b")}
     assert bridge_edges(c3) == {("a", "b"), ("b", "c")}
