@@ -10,12 +10,17 @@ from __future__ import annotations
 import string
 from itertools import combinations
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import _reference as ref
 from veinprune import (
+    EmptySet,
+    NotAChain,
     Poset,
     SetFamily,
+    TooLarge,
+    UnknownLabel,
     bridge_edges,
     coirreducibles,
     doubly_irreducibles,
@@ -372,6 +377,115 @@ def test_point_by_point_subfamilies_are_the_subfamily_definition(members):
     assert oracle.is_connectivity_exhaustive(fam) == \
         ref.fam_is_connectivity_exhaustive(ground, members) == \
         fam.is_connectivity()
+
+
+# ----------------------------------------------------------------------
+# the definition-level oracle against the reference's definitions
+
+
+def _listed_ascending(p, chains):
+    """True iff the label tuples are sorted, distinct, and each lists a
+    chain of p from bottom to top."""
+    return list(chains) == sorted(set(chains)) and all(
+        p.lt(a, b) for c in chains for a, b in zip(c, c[1:]))
+
+
+@given(st.one_of(posets(), ladders()), st.data())
+def test_oracle_chain_facts_are_the_reference(p, data):
+    twin = ref.mirror(p)
+    chains = twin.all_chains()
+    listed = oracle.all_chains(p)
+    assert _listed_ascending(p, listed)
+    assert {frozenset(c) for c in listed} == set(chains)
+    irreducible = set()
+    for c in chains:
+        assert oracle.is_irreducible_chain(p, c) == twin.is_irreducible_chain(c)
+        assert oracle.is_vein(p, c) == twin.is_vein(c)
+        if twin.is_irreducible_chain(c):
+            irreducible.add(c)
+    assert set(oracle.irreducible_chain_family(p).members) == irreducible
+    maximal = oracle.maximal_irreducible_chains(p)
+    assert _listed_ascending(p, maximal)
+    assert {frozenset(c) for c in maximal} == {
+        c for c in irreducible if not any(c < d for d in irreducible)}
+    veins = oracle.strict_veins(p)
+    assert _listed_ascending(p, veins)
+    assert {frozenset(v) for v in veins} == set(twin.strict_veins())
+    # any nonempty subset: chains or not, convex or not
+    subset = data.draw(st.sets(st.sampled_from(p.labels), min_size=1),
+                       label="subset")
+    assert oracle.is_vein(p, subset) == twin.is_vein(subset)
+    if twin.is_chain(subset):
+        assert oracle.is_irreducible_chain(p, subset) == \
+            twin.is_irreducible_chain(subset)
+    else:
+        with pytest.raises(NotAChain):
+            oracle.is_irreducible_chain(p, subset)
+
+
+@given(st.one_of(posets(), ladders()), st.data())
+def test_oracle_rejects_what_is_not_a_chain(p, data):
+    twin = ref.mirror(p)
+    pairs = [(x, y) for x in p.labels for y in p.labels
+             if x < y and not twin.leq(x, y) and not twin.leq(y, x)]
+    if pairs:
+        x, y = data.draw(st.sampled_from(pairs), label="incomparable")
+        extra = data.draw(st.sets(st.sampled_from(p.labels)), label="extra")
+        subset = {x, y} | extra
+        assert not oracle.is_vein(p, subset)
+        with pytest.raises(NotAChain):
+            oracle.is_irreducible_chain(p, subset)
+        with pytest.raises(NotAChain):
+            oracle.check_covering_characterization(p, subset)
+    gaps = [(x, y) for x, y in p.relations()
+            if len(twin.interval(x, y)) > 2]
+    if gaps:
+        # a chain that skips an element between its ends is not convex
+        x, y = data.draw(st.sampled_from(gaps), label="gap")
+        assert not oracle.is_vein(p, {x, y})
+        assert oracle.is_irreducible_chain(p, {x, y}) == \
+            twin.is_irreducible_chain({x, y})
+    for f in (oracle.is_vein, oracle.is_irreducible_chain,
+              oracle.check_covering_characterization):
+        with pytest.raises(UnknownLabel, match="unknown label 'zz'"):
+            f(p, {p.labels[0], "zz"})
+        with pytest.raises(EmptySet):
+            f(p, set())
+    with pytest.raises(UnknownLabel):
+        oracle.clean_chain(p, p.labels[0], "zz")
+    with pytest.raises(UnknownLabel):
+        oracle.pruning_leq(p, "zz", p.labels[0])
+
+
+def test_oracle_errors_and_the_empty_poset(fx):
+    yp, c3 = fx["Yp"], fx["C3"]
+    with pytest.raises(EmptySet, match="^a vein is a nonempty chain$"):
+        oracle.is_vein(yp, [])
+    with pytest.raises(EmptySet,
+                       match="^a chain must contain at least one element$"):
+        oracle.is_irreducible_chain(yp, [])
+    with pytest.raises(NotAChain, match="^'c' and 'd' are incomparable$"):
+        oracle.is_irreducible_chain(yp, ["d", "a", "c"])
+    assert not oracle.is_vein(yp, ["d", "a", "c"])
+    assert not oracle.is_vein(c3, {"a", "c"})  # a chain, but not convex
+    assert oracle.is_irreducible_chain(c3, {"a", "c"})
+    assert not oracle.is_irreducible_chain(yp, {"a", "c"})
+    assert oracle.clean_chain(yp, "c", "d") is None
+    assert oracle.clean_chain(yp, "d", "a") is None
+    empty = Poset.from_relations([], [])
+    assert oracle.strict_veins(empty) == []
+    assert oracle.all_chains(empty) == []
+    assert oracle.irreducible_chain_family(empty).members == ()
+    assert oracle.maximal_irreducible_chains(empty) == []
+    wide = Poset.from_relations([f"x{i}" for i in range(17)], [])
+    for f in (oracle.all_chains, oracle.irreducible_chain_family,
+              oracle.maximal_irreducible_chains):
+        with pytest.raises(
+                TooLarge,
+                match="^17 elements exceed the chain-enumeration bound 16$"):
+            f(wide)
+    assert oracle.maximal_irreducible_chains(wide, max_elements=17) == [
+        (x,) for x in wide.labels]
 
 
 # ----------------------------------------------------------------------
