@@ -166,6 +166,13 @@ for file in "${small[@]}"; do
   same iterate --mode oracle --max 4 "$file"
 done
 same check --seed 3 --count 60 --max-size 8
+# the corpora the benchmark's check ops draw: the defaults (--count 100
+# --max-size 10), whose posets above 8 elements skip the limit-8 checks,
+# and sparse_large's --count 30
+for seed in 1 2 3; do
+  same check --seed "$seed"
+done
+same check --count 30 --max-size 10
 
 echo "$count invocations compared with $rev"
 echo "SAME OUTPUT"

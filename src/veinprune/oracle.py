@@ -9,17 +9,33 @@ relation tested pair by pair an order, so :func:`pruned` checks that the
 pruning relation is a strict order inside the poset before building it;
 ``prune(p, mode="oracle")`` calls it.
 
+Labels are mapped to indices once, where a public function takes its
+arguments, and back once, where it returns its result. In between, a
+chain is an index mask, tested against the index masks of the maximal
+chains, which come straight from the cover paths:
+
+- irreducible: every maximal chain mask that meets the chain mask
+  contains it (:func:`_irreducible`);
+- convex, for a chain: the chain is the whole interval between its least
+  and its greatest element, since any z with x <= z <= y for members x
+  and y lies in that interval (:func:`_is_vein_path`).
+
 The exhaustive cross-checks live here too: every chain and the
 irreducible-chain family, the covering form of chain irreducibility, the
 subfamily form of the connectivity axiom, and the filter definition and
 meet characterization of irreducibility. The module imports only
 :mod:`veinprune.poset`, :mod:`veinprune.connectivity` and
 :mod:`veinprune.errors`, so it never depends on the route it checks.
+
+Each walk below starts from the elements in index order and follows
+ascending successor lists, in preorder, so it lists its index paths in
+lexicographic order; labels are sorted, so that is the order of the
+label tuples too, and no result needs a sort of its own.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 from .connectivity import SetFamily
 from .errors import (EmptySet, InternalOrderViolation, NotAChain,
@@ -27,9 +43,41 @@ from .errors import (EmptySet, InternalOrderViolation, NotAChain,
 from .poset import Poset, _bits, _dfs_paths, _memoized
 
 
+def _mask_of(path: Iterable[int]) -> int:
+    mask = 0
+    for k in path:
+        mask |= 1 << k
+    return mask
+
+
+def _labelled(p: Poset, paths: Iterable[Iterable[int]]) -> list[tuple[str, ...]]:
+    labels = p._labels
+    return [tuple(labels[k] for k in path) for path in paths]
+
+
 @_memoized
 def _maximal_chain_masks(p: Poset) -> tuple[int, ...]:
-    return tuple(p._mask(chain) for chain in p.maximal_chains())
+    """The maximal chains as masks: the cover paths from a minimal to a
+    maximal element."""
+    ucov = p._ucov
+    return tuple(_mask_of(path) for i, down in enumerate(p._dcov) if not down
+                 for path in _dfs_paths(i, ucov) if not ucov[path[-1]])
+
+
+def _irreducible(p: Poset, cm: int) -> bool:
+    """True iff every maximal chain meeting the chain mask ``cm`` contains it."""
+    for m in _maximal_chain_masks(p):
+        if cm & m and cm & ~m:
+            return False
+    return True
+
+
+def _is_vein_path(p: Poset, path: Sequence[int]) -> bool:
+    """True iff the chain ``path``, ascending indices, is a convex
+    irreducible chain."""
+    cm = _mask_of(path)
+    return (p._interval_mask(path[0], path[-1]) == cm
+            and _irreducible(p, cm))
 
 
 def is_irreducible_chain(p: Poset, subset: Iterable[str]) -> bool:
@@ -37,11 +85,7 @@ def is_irreducible_chain(p: Poset, subset: Iterable[str]) -> bool:
 
     The subset must be a nonempty chain (NotAChain / EmptySet otherwise).
     """
-    cm = p._mask(p.as_chain(subset))
-    for m in _maximal_chain_masks(p):
-        if cm & m and cm & ~m:
-            return False
-    return True
+    return _irreducible(p, _mask_of(p._chain_ix(subset)))
 
 
 def is_vein(p: Poset, subset: Iterable[str]) -> bool:
@@ -50,10 +94,18 @@ def is_vein(p: Poset, subset: Iterable[str]) -> bool:
     if not members:
         raise EmptySet("a vein is a nonempty chain")
     try:
-        chain = p.as_chain(members)
+        path = p._chain_ix(members)
     except NotAChain:
         return False
-    return p.is_convex(chain) and is_irreducible_chain(p, chain)
+    return _is_vein_path(p, path)
+
+
+@_memoized
+def _strict_vein_paths(p: Poset) -> tuple[tuple[int, ...], ...]:
+    ucov = p._ucov
+    return tuple(tuple(path) for i in range(len(p))
+                 for path in _dfs_paths(i, ucov)
+                 if len(path) > 1 and _is_vein_path(p, path))
 
 
 def strict_veins(p: Poset) -> list[tuple[str, ...]]:
@@ -62,28 +114,27 @@ def strict_veins(p: Poset) -> list[tuple[str, ...]]:
     Convex chains are saturated, so these are the convex irreducible
     cover paths.
     """
-    paths = (tuple(p._labels[k] for k in path) for i in range(len(p))
-             for path in _dfs_paths(i, p._ucov) if len(path) > 1)
-    return sorted(c for c in paths
-                  if p.is_convex(c) and is_irreducible_chain(p, c))
+    return _labelled(p, _strict_vein_paths(p))
 
 
 @_memoized
 def _strict_vein_masks(p: Poset) -> tuple[int, ...]:
-    return tuple(p._mask(v) for v in strict_veins(p))
+    return tuple(map(_mask_of, _strict_vein_paths(p)))
 
 
 def _clean_chain_ix(p: Poset, ix: int, iy: int) -> tuple[int, ...] | None:
     """Lexicographically least maximal chain of [x, y] with no strict vein.
 
-    The cover paths from x to y are walked depth first, lowest index
-    first, up to the first one that contains no strict vein.
+    None unless x < y. The cover paths from x to y are walked depth
+    first, lowest index first, up to the first one that contains no
+    strict vein.
     """
-    mask = p._interval_mask(ix, iy)
+    if not p._above[ix] >> iy & 1:
+        return None
     veins = _strict_vein_masks(p)
-    for path in _dfs_paths(ix, p._ucov, mask):
+    for path in _dfs_paths(ix, p._ucov, p._interval_mask(ix, iy)):
         if path[-1] == iy:
-            cm = sum(1 << k for k in path)
+            cm = _mask_of(path)
             if all(v & ~cm for v in veins):
                 return tuple(path)
     return None
@@ -91,14 +142,14 @@ def _clean_chain_ix(p: Poset, ix: int, iy: int) -> tuple[int, ...] | None:
 
 def clean_chain(p: Poset, x: str, y: str) -> tuple[str, ...] | None:
     """The least witness chain for x <* y; None if x = y or x <* y fails."""
-    ix, iy = p._i(x), p._i(y)
-    seq = None if ix == iy else _clean_chain_ix(p, ix, iy)
+    seq = _clean_chain_ix(p, p._i(x), p._i(y))
     return None if seq is None else tuple(p._labels[k] for k in seq)
 
 
 def pruning_leq(p: Poset, x: str, y: str) -> bool:
     """True iff x <=* y in the pruning order."""
-    return p._i(x) == p._i(y) or clean_chain(p, x, y) is not None
+    ix, iy = p._i(x), p._i(y)
+    return ix == iy or _clean_chain_ix(p, ix, iy) is not None
 
 
 def _star_above(p: Poset) -> tuple[int, ...]:
@@ -156,7 +207,7 @@ def check_covering_characterization(p: Poset, subset: Iterable[str],
     cross-check. TooLarge is raised when the poset has more maximal
     chains than ``max_maximal_chains``.
     """
-    cm = p._mask(p.as_chain(subset))
+    cm = _mask_of(p._chain_ix(subset))
     masks = _maximal_chain_masks(p)
     if len(masks) > max_maximal_chains:
         raise TooLarge(
@@ -177,33 +228,49 @@ def check_covering_characterization(p: Poset, subset: Iterable[str],
     return True
 
 
-def all_chains(p: Poset, max_elements: int = 16) -> list[tuple[str, ...]]:
-    """Every nonempty chain, ascending, sorted; exhaustive by design."""
+def _chain_paths(p: Poset, max_elements: int) -> list[tuple[int, ...]]:
+    """Every nonempty chain as ascending indices, in lexicographic order."""
     if len(p) > max_elements:
         raise TooLarge(
             f"{len(p)} elements exceed the chain-enumeration bound "
             f"{max_elements}")
     above = [tuple(_bits(m)) for m in p._above]
-    return sorted(tuple(p._labels[k] for k in path) for start in range(len(p))
-                  for path in _dfs_paths(start, above))
+    return [tuple(path) for start in range(len(p))
+            for path in _dfs_paths(start, above)]
+
+
+def all_chains(p: Poset, max_elements: int = 16) -> list[tuple[str, ...]]:
+    """Every nonempty chain, ascending, sorted; exhaustive by design."""
+    return _labelled(p, _chain_paths(p, max_elements))
+
+
+@_memoized
+def _irreducible_chain_paths(p: Poset, max_elements: int
+                             ) -> tuple[tuple[int, ...], ...]:
+    return tuple(c for c in _chain_paths(p, max_elements)
+                 if _irreducible(p, _mask_of(c)))
 
 
 def irreducible_chain_family(p: Poset, max_elements: int = 16) -> SetFamily:
     """Every irreducible chain of the poset, as a set family."""
-    members = [c for c in all_chains(p, max_elements)
-               if is_irreducible_chain(p, c)]
-    return SetFamily(p.labels, members)
+    return SetFamily(p.labels,
+                     _labelled(p, _irreducible_chain_paths(p, max_elements)))
 
 
 def maximal_irreducible_chains(p: Poset, max_elements: int = 16) -> list[tuple[str, ...]]:
-    """The inclusion-maximal irreducible chains, sorted."""
-    family = irreducible_chain_family(p, max_elements)
-    sets = family.members
-    out = []
-    for m in sets:
-        if not any(m < other for other in sets):
-            out.append(p.as_chain(m))
-    return sorted(out)
+    """The inclusion-maximal irreducible chains, sorted.
+
+    Taken longest first, a chain is maximal unless it lies inside one
+    already kept: a chain strictly containing it is longer, and lies in a
+    maximal one itself.
+    """
+    kept: list[tuple[int, tuple[int, ...]]] = []
+    for c in sorted(_irreducible_chain_paths(p, max_elements), key=len,
+                    reverse=True):
+        cm = _mask_of(c)
+        if all(cm & ~m for m, _ in kept):
+            kept.append((cm, c))
+    return sorted(_labelled(p, (c for _, c in kept)))
 
 
 def is_connectivity_exhaustive(fam: SetFamily, max_members: int = 20) -> bool:

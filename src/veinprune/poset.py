@@ -345,12 +345,6 @@ class Poset:
         except KeyError:
             raise UnknownLabel(f"unknown label {label!r}") from None
 
-    def _mask(self, labels: Iterable[str]) -> int:
-        acc = 0
-        for lab in labels:
-            acc |= 1 << self._i(lab)
-        return acc
-
     def _labels_of(self, mask: int) -> tuple[str, ...]:
         return tuple(self._labels[i] for i in _bits(mask))
 
@@ -412,9 +406,16 @@ class Poset:
         Raises EmptySet for the empty set, UnknownLabel for foreign labels,
         and NotAChain when two members are incomparable.
         """
+        return tuple(self._labels[i] for i in self._chain_ix(subset))
+
+    def _chain_ix(self, subset: Iterable[str]) -> list[int]:
+        """The indices of :meth:`as_chain`, ascending in the order."""
         idxs = sorted({self._i(x) for x in subset})
         if not idxs:
             raise EmptySet("a chain must contain at least one element")
+        if len(idxs) == 1:
+            # a singleton is a chain: no mask is read, and none is filled
+            return idxs
         # x < y forces strictly more elements above x, so this sort is
         # ascending whenever the set really is a chain; it reads only the
         # masks the constructor keeps
@@ -425,7 +426,7 @@ class Poset:
                 raise NotAChain(
                     f"{self._labels[a]!r} and {self._labels[b]!r} "
                     "are incomparable")
-        return tuple(self._labels[i] for i in idxs)
+        return idxs
 
     def is_chain(self, subset: Iterable[str]) -> bool:
         """True iff the nonempty subset is totally ordered."""

@@ -48,7 +48,7 @@ def is_vein(p: Poset, subset: Iterable[str]) -> bool:
     if not members:
         raise EmptySet("a vein is a nonempty chain")
     try:
-        seq = [p._i(x) for x in p.as_chain(members)]
+        seq = p._chain_ix(members)
     except NotAChain:
         return False
     return all(_is_bridge(p, i, j) for i, j in zip(seq, seq[1:]))

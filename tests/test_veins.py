@@ -27,6 +27,7 @@ from veinprune import (
     maximal_irreducible_chains,
     maximal_veins,
     oracle,
+    prune,
     strict_veins,
     vein_family,
 )
@@ -102,6 +103,21 @@ def test_is_vein_leaves_the_lower_masks_unfilled():
     assert not is_vein(p, {"d", "e"})  # not a chain
     assert not p.is_chain({"f", "a"})
     assert p._below_masks is None
+
+
+def test_singleton_vein_query_reads_no_mask():
+    # a pruned poset is built from its covers with both order masks unset;
+    # a one-element subset is a chain without reading either of them
+    p = Poset.from_relations(
+        "abcdef", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"),
+                   ("d", "e"), ("e", "f")])
+    q = prune(p).pruned
+    assert q != p
+    assert q._above_masks is None and q._below_masks is None
+    for x in q.labels:
+        assert is_vein(q, [x])
+        assert q.as_chain([x]) == (x,)
+    assert q._above_masks is None and q._below_masks is None
 
 
 def test_bridge_edges(yp, c3, b3, vee):
