@@ -156,6 +156,29 @@ for file in "${small[@]}" chain5000.txt ladder1000.txt sparse4000.txt; do
 done
 # 11,175 strict veins, every sub-run of one bridge run
 same veins chain150.txt
+# the completeness line of info and the footer of irr on lattices, a long
+# fence, the complete bipartite poset K30,30 and a 5-crown (l_i < u_j for
+# j != i); the last two are not conditionally complete
+gen b8.txt boolean --size 8
+gen b10.txt boolean --size 10
+gen fence2000.txt fence --size 2000
+gen lattice5.txt downset_lattice --size 5 --seed 3
+for i in $(seq 30); do
+  for j in $(seq 30); do
+    printf 'l%d < u%d\n' "$i" "$j"
+  done
+done > k30.txt
+for i in $(seq 5); do
+  for j in $(seq 5); do
+    if [ "$i" != "$j" ]; then
+      printf 'l%d < u%d\n' "$i" "$j"
+    fi
+  done
+done > crown5.txt
+for file in b8.txt b10.txt fence2000.txt lattice5.txt k30.txt crown5.txt; do
+  same info "$file"
+  same irr "$file"
+done
 # the definition-level route, on inputs of at most 12 elements
 for file in "${small[@]}"; do
   same veins --mode oracle "$file"

@@ -23,7 +23,9 @@ chains, which come straight from the cover paths:
 The exhaustive cross-checks live here too: every chain and the
 irreducible-chain family, the covering form of chain irreducibility, the
 subfamily form of the connectivity axiom, and the filter definition and
-meet characterization of irreducibility. The module imports only
+meet characterization of irreducibility. The meet characterization scans
+every pair with a common lower bound, so it also decides conditional
+completeness by a route of its own. The module imports only
 :mod:`veinprune.poset`, :mod:`veinprune.connectivity` and
 :mod:`veinprune.errors`, so it never depends on the route it checks.
 
@@ -35,7 +37,7 @@ label tuples too, and no result needs a sort of its own.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .connectivity import SetFamily
 from .errors import (EmptySet, InternalOrderViolation, NotAChain,
@@ -327,18 +329,69 @@ def is_filtered_upset(p: Poset, subset: Iterable[str]) -> bool:
     return True
 
 
+def _pairs_sharing_a_lower_bound(p: Poset) -> Iterator[tuple[int, int]]:
+    """Incomparable pairs a < b (by index) with a common lower bound.
+
+    Every lower bound lies above a minimal element, so the partners of a
+    lie above the minimal elements below a. Pairs come a ascending, then b
+    ascending; in a fence, a has at most two partners.
+    """
+    below, above = p._below, p._above
+    top = 1 << len(below)
+    minimal = 0
+    for i, down in enumerate(below):
+        if not down:
+            minimal |= 1 << i
+    for a, down in enumerate(below):
+        if not down:
+            continue
+        partners = 0
+        for m in _bits(down & minimal):
+            partners |= above[m]
+        # the elements with a larger index than a, incomparable to a
+        later = (top - (2 << a)) & ~(above[a] | down)
+        for b in _bits(partners & later):
+            yield a, b
+
+
+@_memoized
+def _proper_meets(p: Poset) -> frozenset[int] | None:
+    """Indices of the meets of incomparable pairs, all of them proper.
+
+    None when a pair with a common lower bound has no meet, which happens
+    iff p is not conditionally complete: in a finite poset the meets give
+    the joins, as any two common upper bounds of a and b have a and b as
+    common lower bounds, so folding meets over them finds the least one.
+    The scan stops at the first pair without a meet. The common lower
+    bounds ↓a ∩ ↓b are searched for a maximum once per distinct set, by a
+    walk down the covers (:meth:`Poset._greatest`); a set with a maximum
+    m is ↓m, so there are at most n + 1 searches.
+    """
+    below = p._below
+    maxima: dict[int, int] = {}
+    for a, b in _pairs_sharing_a_lower_bound(p):
+        lower = below[a] & below[b]
+        if lower not in maxima:
+            top = p._greatest(a, lower)
+            if top is None:
+                return None
+            maxima[lower] = top
+    return frozenset(maxima.values())
+
+
 def is_irreducible_via_meet(p: Poset, x: str) -> bool:
     """Meet-based irreducibility test, valid in conditionally complete posets.
 
     True iff x = meet(a, b) implies x in {a, b} for all pairs. Raises
     NotConditionallyComplete when the hypothesis fails, since the
     equivalence with :func:`veinprune.irreducibles.is_irreducible` is only
-    guaranteed there. The proper meets come from the poset's one scan,
-    which also decides completeness and finds each meet by walking down
-    the covers.
+    guaranteed there. The proper meets come from a scan of every
+    incomparable pair with a common lower bound (:func:`_proper_meets`),
+    which decides the hypothesis on its own, apart from
+    :meth:`Poset.is_conditionally_complete` and its cover test.
     """
     ix = p._i(x)
-    meets = p._proper_meets()
+    meets = _proper_meets(p)
     if meets is None:
         raise NotConditionallyComplete(
             "the meet characterization needs a conditionally complete poset")

@@ -558,65 +558,80 @@ class Poset:
         bot = self._greatest(ia, upper, up=True)
         return None if bot is None else self._labels[bot]
 
-    def _pairs_sharing_a_lower_bound(self) -> Iterator[tuple[int, int]]:
-        """Incomparable pairs a < b (by index) with a common lower bound.
-
-        Every lower bound lies above a minimal element, so the partners of
-        a lie above the minimal elements below a. Pairs come a ascending,
-        then b ascending; in a fence, a has at most two partners.
-        """
-        below, above = self._below, self._above
-        top = 1 << len(below)
-        minimal = 0
-        for i, down in enumerate(below):
-            if not down:
-                minimal |= 1 << i
-        for a, down in enumerate(below):
-            if not down:
-                continue
-            partners = 0
-            for m in _bits(down & minimal):
-                partners |= above[m]
-            # the elements with a larger index than a, incomparable to a
-            later = (top - (2 << a)) & ~(above[a] | down)
-            for b in _bits(partners & later):
-                yield a, b
-
     @_memoized
-    def _proper_meets(self) -> frozenset[int] | None:
-        """Indices of the meets of incomparable pairs, all of them proper.
-
-        None when a pair with a common lower bound has no meet; the scan
-        stops there, and sparse posets often fail within a few pairs. The
-        common lower bounds ↓a ∩ ↓b are searched for a maximum once per
-        distinct set, by a walk down the covers from a
-        (:meth:`_greatest`); a set with a maximum m is ↓m, so there are at
-        most n + 1 searches.
-        """
-        below = self._below
-        maxima: dict[int, int] = {}
-        for a, b in self._pairs_sharing_a_lower_bound():
-            lower = below[a] & below[b]
-            if lower not in maxima:
-                top = self._greatest(a, lower)
-                if top is None:
-                    return None
-                maxima[lower] = top
-        return frozenset(maxima.values())
-
     def is_conditionally_complete(self) -> bool:
         """True iff bounded pairs have meets and joins.
 
         Every pair with a common lower bound must have a meet, and every
-        pair with a common upper bound must have a join. Comparable pairs
-        have both, so :meth:`_proper_meets` scans only the incomparable
-        pairs sharing a lower bound. In a finite poset the meets give the
-        joins: if U, the common upper bounds of a and b, is nonempty, any
-        two members of U have a and b as common lower bounds, so their
-        meet exists and lies in U. Folding meets over U gives its minimum,
-        which is the join.
+        pair with a common upper bound must have a join. Decided from the
+        covers, by two facts about P̂, which is P with a new least element
+        0̂ and a new greatest element 1̂:
+
+        1. P is conditionally complete iff P̂ is a lattice. A pair of P
+           without a common upper bound in P has the join 1̂ in P̂; one
+           with common upper bounds in P has the same join in P and in P̂,
+           or none in either. Pairs with 0̂ or 1̂ are comparable, and meets
+           are dual.
+        2. A finite bounded poset L is a lattice iff any two elements that
+           cover a common element have a join. Suppose they do, but some
+           pair has no join, and choose such a pair a, b with a common
+           lower bound z that is as high as possible. As a and b are
+           incomparable, z has covers x <= a and y <= b, and x != y, or x
+           would be a higher choice of z. So w = x ∨ y exists. The pair a,
+           w has the common lower bound x > z, so v = a ∨ w exists, and so
+           does u = v ∨ b, as y > z lies below both. Any upper bound t of
+           a and b lies above x and y, so above w, v and u: u is a ∨ b,
+           against the choice. Meets follow, since the common lower bounds
+           of a pair include 0̂ and have a join.
+
+        The pairs of P̂ that cover a common element and may lack a join are
+        two minimal elements of P (covers of 0̂), or two upper covers of
+        one element, that share an upper bound in P; each needs a least
+        common upper bound, which :meth:`_greatest` finds by a walk up the
+        covers. The minimal elements go first, as sparse posets often fail
+        there: the partners of a minimal element a are the minimal
+        elements below the maximal elements above a. Two upper covers of
+        one element are incomparable, and a maximal one has no partner.
+        Each distinct set of common upper bounds is searched once.
         """
-        return self._proper_meets() is not None
+        above = self._above_masks or self._above
+        ucov, dcov = self._ucov, self._dcov
+        minimal = maximal = 0
+        for i, ups in enumerate(ucov):
+            if not ups:
+                maximal |= 1 << i
+            elif not dcov[i]:
+                minimal |= 1 << i
+        searched: set[int] = set()
+        if minimal:
+            below = self._below_masks or self._below
+            for a, up in enumerate(above):
+                if dcov[a] or not up:
+                    continue
+                partners = 0
+                for m in _bits(up & maximal):
+                    partners |= below[m]
+                # the partners b > a, as offsets from a + 1
+                for b in _bits((partners & minimal) >> (a + 1)):
+                    upper = up & above[a + 1 + b]
+                    if upper & (upper - 1) and upper not in searched:
+                        if self._greatest(a, upper, up=True) is None:
+                            return False
+                        searched.add(upper)
+        for ups in ucov:
+            if len(ups) < 2:
+                continue
+            for k, x in enumerate(ups):
+                up = above[x]
+                if not up:
+                    continue
+                for y in ups[k + 1:]:
+                    upper = up & above[y]
+                    if upper & (upper - 1) and upper not in searched:
+                        if self._greatest(x, upper, up=True) is None:
+                            return False
+                        searched.add(upper)
+        return True
 
     # ------------------------------------------------------------------
     # layout support
