@@ -527,28 +527,22 @@ def test_principal_set_completeness_is_the_pairwise_definition(p):
             assert is_irreducible_via_meet(p, x) == twin.is_irreducible(x)
 
 
-def _every_small_order(max_size):
-    """Every order on the labels a, b, ... of at most ``max_size``
-    elements, as the closure of each set of pairs i < j (by index)."""
-    for n in range(max_size + 1):
+def test_completeness_routes_agree_on_every_small_order():
+    # the closure of every set of pairs i < j (by index) on at most 5
+    # elements: 1,100 edge sets. Numbered along a linear extension, every
+    # order has its relations going up in index, so every order of that
+    # size is here up to isomorphism
+    seen = 0
+    for n in range(6):
         labels = string.ascii_lowercase[:n]
         pairs = list(combinations(labels, 2))
         for chosen in range(1 << len(pairs)):
-            yield Poset.from_relations(
-                labels, [pair for k, pair in enumerate(pairs)
-                         if chosen >> k & 1])
-
-
-def test_completeness_routes_agree_on_every_small_order():
-    # 1,100 edge sets on at most 5 elements. Numbered along a linear
-    # extension, every order has its relations going up in index, so every
-    # order of that size is here up to isomorphism
-    seen = 0
-    for p in _every_small_order(5):
-        complete = p.is_conditionally_complete()
-        assert complete == ref.mirror(p).conditionally_complete(), p.covers
-        assert complete == (oracle._proper_meets(p) is not None), p.covers
-        seen += 1
+            p = Poset.from_relations(labels, [
+                pair for k, pair in enumerate(pairs) if chosen >> k & 1])
+            complete = p.is_conditionally_complete()
+            assert complete == ref.mirror(p).conditionally_complete(), p.covers
+            assert complete == (oracle._proper_meets(p) is not None), p.covers
+            seen += 1
     assert seen == 1 + 1 + 2 + 8 + 64 + 1024
 
 
