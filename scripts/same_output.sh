@@ -175,7 +175,24 @@ for i in $(seq 5); do
     fi
   done
 done > crown5.txt
-for file in b8.txt b10.txt fence2000.txt lattice5.txt k30.txt crown5.txt; do
+# shapes where many pairs share an upper bound, some tested for
+# completeness from the opposite side: a star (500 elements under one
+# top), the binary in-tree on 511 elements with its root on top, a fan
+# (one top over 500 two-element chains), an hourglass (500 elements under
+# one middle element under 500 more), K500,2, which is not conditionally
+# complete, and the lattice M500 (500 elements between a bottom and a top)
+for i in $(seq 500); do printf 'm%d < z\n' "$i"; done > star.txt
+for c in $(seq 2 511); do printf 't%d < t%d\n' "$c" $((c / 2)); done \
+  > intree.txt
+for i in $(seq 500); do printf 'l%d < c%d\nc%d < z\n' "$i" "$i" "$i"; done \
+  > fan.txt
+for i in $(seq 500); do printf 'a%d < mid\nmid < z%d\n' "$i" "$i"; done \
+  > hourglass.txt
+for i in $(seq 500); do printf 'm%d < y\nm%d < z\n' "$i" "$i"; done \
+  > twotops.txt
+for i in $(seq 500); do printf 'a < m%d\nm%d < z\n' "$i" "$i"; done > m500.txt
+for file in b8.txt b10.txt fence2000.txt lattice5.txt k30.txt crown5.txt \
+    star.txt intree.txt fan.txt hourglass.txt twotops.txt m500.txt; do
   same info "$file"
   same irr "$file"
 done

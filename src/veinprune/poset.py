@@ -588,49 +588,76 @@ class Poset:
         two minimal elements of P (covers of 0̂), or two upper covers of
         one element, that share an upper bound in P; each needs a least
         common upper bound, which :meth:`_greatest` finds by a walk up the
-        covers. The minimal elements go first, as sparse posets often fail
-        there: the partners of a minimal element a are the minimal
-        elements below the maximal elements above a. Two upper covers of
-        one element are incomparable, and a maximal one has no partner.
-        Each distinct set of common upper bounds is searched once.
+        covers. The definition is self-dual, so the test runs on P or on
+        its opposite, whichever has fewer minimal elements: the minimal
+        elements of a tree with its root on top make quadratically many
+        pairs, and those of its opposite none. The minimal elements go
+        first, as sparse posets often fail there: the partners of a
+        minimal element a are the minimal elements below the maximal
+        elements above a. Two upper covers of one element are
+        incomparable, and one that shares no upper bound with the covers
+        before it (a maximal one, say) is paired with none. In either
+        kind, an element with the same upper covers as one before it has
+        the same joins, so it is tested only against that one. Each
+        distinct set of common upper bounds is searched once.
         """
-        above = self._above_masks or self._above
         ucov, dcov = self._ucov, self._dcov
-        minimal = maximal = 0
+        minimal = maximal = 0  # leaving out isolated elements
         for i, ups in enumerate(ucov):
             if not ups:
-                maximal |= 1 << i
+                if dcov[i]:
+                    maximal |= 1 << i
             elif not dcov[i]:
                 minimal |= 1 << i
+        up = minimal.bit_count() <= maximal.bit_count()
+        above = self._above_masks or self._above
+        below = self._below_masks or self._below
+        if not up:  # the same test on the opposite order
+            above, below, ucov, dcov = below, above, dcov, ucov
+            minimal, maximal = maximal, minimal
         searched: set[int] = set()
-        if minimal:
-            below = self._below_masks or self._below
-            for a, up in enumerate(above):
-                if dcov[a] or not up:
-                    continue
-                partners = 0
-                for m in _bits(up & maximal):
-                    partners |= below[m]
-                # the partners b > a, as offsets from a + 1
-                for b in _bits((partners & minimal) >> (a + 1)):
-                    upper = up & above[a + 1 + b]
-                    if upper & (upper - 1) and upper not in searched:
-                        if self._greatest(a, upper, up=True) is None:
-                            return False
-                        searched.add(upper)
+
+        def lacks_join(x: int, upper: int) -> bool:
+            """True iff x and a partner, with the common upper bounds
+            ``upper``, have no least one."""
+            if not upper & (upper - 1) or upper in searched:
+                return False
+            searched.add(upper)
+            return self._greatest(x, upper, up) is None
+
+        seen: set[tuple[int, ...]] = set()  # upper covers tested before
+        for a, upper in enumerate(above):
+            if dcov[a] or not upper:
+                continue
+            if ucov[a] in seen:
+                if lacks_join(a, upper):
+                    return False
+                continue
+            seen.add(ucov[a])
+            partners = 0
+            for m in _bits(upper & maximal):
+                partners |= below[m]
+            # the partners b > a, as offsets from a + 1
+            for b in _bits((partners & minimal) >> (a + 1)):
+                if lacks_join(a, upper & above[a + 1 + b]):
+                    return False
         for ups in ucov:
             if len(ups) < 2:
                 continue
-            for k, x in enumerate(ups):
-                up = above[x]
-                if not up:
+            union = 0  # the upper bounds of the covers kept before x
+            kept: dict[tuple[int, ...], int] = {}  # by their upper covers
+            for x in ups:
+                upper = above[x]
+                if ucov[x] in kept:
+                    if lacks_join(x, upper):
+                        return False
                     continue
-                for y in ups[k + 1:]:
-                    upper = up & above[y]
-                    if upper & (upper - 1) and upper not in searched:
-                        if self._greatest(x, upper, up=True) is None:
+                if upper & union:
+                    for y in kept.values():
+                        if lacks_join(x, upper & above[y]):
                             return False
-                        searched.add(upper)
+                union |= upper
+                kept[ucov[x]] = x
         return True
 
     # ------------------------------------------------------------------

@@ -542,6 +542,8 @@ def test_completeness_routes_agree_on_every_small_order():
             complete = p.is_conditionally_complete()
             assert complete == ref.mirror(p).conditionally_complete(), p.covers
             assert complete == (oracle._proper_meets(p) is not None), p.covers
+            # the opposite order, tested from its own minimal elements
+            assert p.opposite().is_conditionally_complete() == complete
             seen += 1
     assert seen == 1 + 1 + 2 + 8 + 64 + 1024
 

@@ -1,9 +1,10 @@
 """Scale tier: shapes that once made the fast route slow or crash.
 
 Long chains, a wide antichain, a long fence, a complete bipartite poset,
-a deep poset, a Boolean lattice, a ladder of diamonds ending in a bridge,
-short chains on scattered labels, a sparse random poset with long
-edges, and the empty document. Each test
+many minimal elements under common upper bounds, a deep poset, a Boolean
+lattice, a ladder of diamonds ending in a bridge, short chains on
+scattered labels, a sparse random poset with long edges, and the empty
+document. Each test
 asserts its output and a wall-time bound several times the measured cost,
 so that a return to a super-linear (or exponential) layer fails here.
 Bounds may only be tightened.
@@ -217,6 +218,68 @@ def test_completeness_on_boolean_lattice(b10_file, capsys, command, bound):
         "info": "conditionally complete: yes",
         "irr": "preserved under pruning: yes"}[command]
     assert elapsed < bound
+
+
+def _poset_of(pairs) -> Poset:
+    return Poset.from_relations({x for pair in pairs for x in pair}, pairs)
+
+
+@pytest.fixture(scope="module")
+def hub_files(tmp_path_factory):
+    """Many elements under common upper bounds.
+
+    A star: 2000 elements under one top. An in-tree: the binary tree with
+    4000 leaves and its root on top. A fan: one top over 2000 two-element
+    chains. An hourglass: 2000 elements under one middle element under
+    2000 more. The lattice M2000: 2000 elements between a bottom and a top.
+    """
+    folder = tmp_path_factory.mktemp("hubs")
+    tree = [f"t{i:04d}" for i in range(7999)]
+    shapes = {
+        "star": _poset_of([(f"m{i:04d}", "z") for i in range(2000)]),
+        "in-tree": _poset_of([(tree[c], tree[(c - 1) // 2])
+                              for c in range(1, 7999)]),
+        "fan": _poset_of([(f"c{i:04d}", "z") for i in range(2000)]
+                         + [(f"l{i:04d}", f"c{i:04d}") for i in range(2000)]),
+        "hourglass": _poset_of([(f"a{i:04d}", "mid") for i in range(2000)]
+                               + [("mid", f"z{i:04d}") for i in range(2000)]),
+        "M2000": _poset_of([("a", f"m{i:04d}") for i in range(2000)]
+                           + [(f"m{i:04d}", "z") for i in range(2000)]),
+    }
+    return {name: (len(p), _write(folder, p, f"{name}.txt"))
+            for name, p in shapes.items()}
+
+
+# about 5x the slowest of three runs on a 2-vCPU Xeon host (Python 3.11),
+# parsing included, at least 0.25 s: info and irr took 16 and 19 ms on the
+# star, 75 and 92 ms on the in-tree, 33 and 29 ms on the fan, 35 and 47 ms
+# on the hourglass, 36 and 24 ms on M2000. Testing every pair of minimal
+# elements with a common upper bound took 1.5 s on the star and 6 s or
+# more on the in-tree and the hourglass; every pair of covers of one
+# element, about 0.5 s on the fan and 0.8 s on M2000.
+HUB_BOUNDS = {
+    ("info", "star"): 0.25, ("irr", "star"): 0.25,
+    ("info", "in-tree"): 0.4, ("irr", "in-tree"): 0.5,
+    ("info", "fan"): 0.25, ("irr", "fan"): 0.25,
+    ("info", "M2000"): 0.25, ("irr", "M2000"): 0.25,
+    ("info", "hourglass"): 0.25, ("irr", "hourglass"): 0.25,
+}
+
+
+@pytest.mark.parametrize("command, shape", sorted(HUB_BOUNDS))
+def test_completeness_on_common_upper_bounds(hub_files, capsys, command,
+                                             shape):
+    size, path = hub_files[shape]
+    code, out, elapsed = _timed_cli([command, path], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    if command == "info":
+        assert f"elements: {size}" in lines
+        assert lines[-1] == "conditionally complete: yes"
+    else:
+        assert len(lines) == 1 + size + 1
+        assert lines[-1] == "preserved under pruning: yes"
+    assert elapsed < HUB_BOUNDS[command, shape]
 
 
 def test_info_on_deep_poset(tmp_path, capsys):
