@@ -6,6 +6,8 @@
 # REV's src/ is extracted with git archive. Every invocation below runs
 # once against that tree and once against the working tree's src/, from
 # the same directory, and stdout, stderr and the exit code are compared.
+# A last step does the same for the library's witness chains and profiles,
+# which no command prints.
 # Prints SAME OUTPUT and exits 0, or names the first invocation that
 # differs and exits 1.
 set -euo pipefail
@@ -26,20 +28,25 @@ run() {
   echo "$rc" >"$result.rc"
 }
 
+# differ WHAT: stop when REV's result and the working tree's differ
+differ() {
+  local part
+  for part in out err rc; do
+    if ! cmp -s "$work/rev.res.$part" "$work/new.res.$part"; then
+      echo "DIFFERENT OUTPUT: $1 (.$part differs; - $rev, + working tree)"
+      diff -u "$work/rev.res.$part" "$work/new.res.$part" | sed -n '3,22p'
+      exit 1
+    fi
+  done
+}
+
 count=0
 # same ARGS...: run at REV and in the working tree; stop at a difference
 same() {
   count=$((count + 1))
   run "$work/rev/src" "$work/rev.res" "$@"
   run "$repo/src" "$work/new.res" "$@"
-  local part
-  for part in out err rc; do
-    if ! cmp -s "$work/rev.res.$part" "$work/new.res.$part"; then
-      echo "DIFFERENT OUTPUT: veinprune $* (.$part differs; - $rev, + working tree)"
-      diff -u "$work/rev.res.$part" "$work/new.res.$part" | sed -n '3,22p'
-      exit 1
-    fi
-  done
+  differ "veinprune $*"
 }
 
 # the generated inputs are themselves compared, then kept from REV's run
@@ -191,8 +198,15 @@ for i in $(seq 500); do printf 'a%d < mid\nmid < z%d\n' "$i" "$i"; done \
 for i in $(seq 500); do printf 'm%d < y\nm%d < z\n' "$i" "$i"; done \
   > twotops.txt
 for i in $(seq 500); do printf 'a < m%d\nm%d < z\n' "$i" "$i"; done > m500.txt
+# that in-tree beside the out-tree on 511 elements (root at the bottom),
+# whose minimal elements lie on different sides
+{
+  for c in $(seq 2 511); do printf 'i%d < i%d\n' "$c" $((c / 2)); done
+  for c in $(seq 2 511); do printf 'o%d < o%d\n' $((c / 2)) "$c"; done
+} > twotrees.txt
 for file in b8.txt b10.txt fence2000.txt lattice5.txt k30.txt crown5.txt \
-    star.txt intree.txt fan.txt hourglass.txt twotops.txt m500.txt; do
+    star.txt intree.txt fan.txt hourglass.txt twotops.txt m500.txt \
+    twotrees.txt; do
   same info "$file"
   same irr "$file"
 done
@@ -213,6 +227,51 @@ for seed in 1 2 3; do
   same check --seed "$seed"
 done
 same check --count 30 --max-size 10
+
+
+# the library side of the benchmark's witness op, which no command prints:
+# the pruning_witness chain (or -) of every strict pair, and profiles(),
+# each hashed per input; run at REV and in the working tree like the rest
+library() {
+  local tree=$1 result=$2 rc=0
+  shift 2
+  PYTHONDONTWRITEBYTECODE=1 PYTHONPATH="$tree" python3 - "$@" \
+    >"$result.out" 2>"$result.err" <<'PY' || rc=$?
+import hashlib
+import sys
+
+from veinprune.formats import load_document
+from veinprune.irreducibles import profiles
+from veinprune.pruning import pruning_witness
+
+for path in sys.argv[1:]:
+    with open(path, encoding="utf-8") as fh:
+        p = load_document(fh.read()).to_poset()
+    chains, flags = hashlib.sha256(), hashlib.sha256()
+    pairs = p.relations()
+    for x, y in pairs:
+        w = pruning_witness(p, x, y)
+        chains.update(f"{x} {y} {' '.join(w.chain) if w else '-'}\n".encode())
+    for e in profiles(p).values():
+        flags.update(f"{e.element} {e.irreducible} {e.coirreducible} "
+                     f"{e.doubly}\n".encode())
+    print(path, len(pairs), "witnesses", chains.hexdigest())
+    print(path, len(p), "profiles", flags.hexdigest())
+PY
+  echo "$rc" >"$result.rc"
+}
+# a ladder of 40 diamonds ending in a bridge, as in the deep_shapes workload
+{
+  for i in $(seq 40); do
+    echo "b$((i-1)) < l$i"; echo "b$((i-1)) < r$i"
+    echo "l$i < b$i"; echo "r$i < b$i"
+  done
+  echo "b40 < t"
+} > ladder40.txt
+count=$((count + 1))
+library "$work/rev/src" "$work/rev.res" sparse4000.txt ladder40.txt
+library "$repo/src" "$work/new.res" sparse4000.txt ladder40.txt
+differ "pruning_witness and profiles on sparse4000.txt and ladder40.txt"
 
 echo "$count invocations compared with $rev"
 echo "SAME OUTPUT"

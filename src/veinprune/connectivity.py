@@ -21,7 +21,7 @@ class SetFamily:
     tuples), so iteration and reports are deterministic.
     """
 
-    __slots__ = ("_ground", "_members", "_member_set")
+    __slots__ = ("_ground", "_members", "_member_set", "_connectivity")
 
     def __init__(self, ground: Iterable[str], members: Iterable[Iterable[str]]):
         self._ground = frozenset(ground)
@@ -37,6 +37,7 @@ class SetFamily:
             canon[tuple(sorted(member))] = member
         self._members = tuple(canon[key] for key in sorted(canon))
         self._member_set = frozenset(self._members)
+        self._connectivity: bool | None = None  # decided on first ask
 
     @property
     def ground(self) -> frozenset[str]:
@@ -59,7 +60,16 @@ class SetFamily:
 
     def is_connectivity(self) -> bool:
         """True iff the members are nonempty, cover the ground set, and the
-        union of any two overlapping members is again a member."""
+        union of any two overlapping members is again a member.
+
+        Decided once per family: the pair scan is quadratic in the members,
+        and :meth:`is_point_connected` and :meth:`components` ask again.
+        """
+        if self._connectivity is None:
+            self._connectivity = self._decide_connectivity()
+        return self._connectivity
+
+    def _decide_connectivity(self) -> bool:
         if not self._members:
             return False
         covered: set[str] = set()

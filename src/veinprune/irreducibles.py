@@ -31,14 +31,18 @@ poset. :func:`preservation_report` checks the theorem, for the suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .poset import Poset
 from .pruning import prune
 
 
-@dataclass(frozen=True)
-class IrreducibilityProfile:
-    """Irreducibility flags for a single element."""
+class IrreducibilityProfile(NamedTuple):
+    """Irreducibility flags for a single element.
+
+    A tuple record: immutable, it unpacks as ``element, irreducible,
+    coirreducible`` and compares equal to the plain tuple of its fields.
+    """
 
     element: str
     irreducible: bool

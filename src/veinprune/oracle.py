@@ -177,7 +177,7 @@ def pruned(p: Poset) -> Poset:
     labels = p._labels
     for i, (row, above) in enumerate(zip(star, p._above)):
         if row & ~above:
-            j = next(_bits(row & ~above))
+            j = _bits(row & ~above)[0]
             if j == i:
                 raise InternalOrderViolation(
                     f"pruning produced a reflexive strict pair at {labels[i]!r}")
@@ -187,12 +187,12 @@ def pruned(p: Poset) -> Poset:
     for i, row in enumerate(star):
         for g in _bits(row):
             if star[g] & ~row:
-                k = next(_bits(star[g] & ~row))
+                k = _bits(star[g] & ~row)[0]
                 raise InternalOrderViolation(
                     "pruning broke transitivity: "
                     f"{labels[i]!r} <* {labels[g]!r} <* {labels[k]!r} "
                     f"but not {labels[i]!r} <* {labels[k]!r}")
-    return Poset(labels, [tuple(_bits(row)) for row in star])
+    return Poset(labels, [_bits(row) for row in star])
 
 
 # ----------------------------------------------------------------------
@@ -236,7 +236,7 @@ def _chain_paths(p: Poset, max_elements: int) -> list[tuple[int, ...]]:
         raise TooLarge(
             f"{len(p)} elements exceed the chain-enumeration bound "
             f"{max_elements}")
-    above = [tuple(_bits(m)) for m in p._above]
+    above = [_bits(m) for m in p._above]
     return [tuple(path) for start in range(len(p))
             for path in _dfs_paths(start, above)]
 

@@ -32,12 +32,20 @@ from .errors import (
 )
 
 
-def _bits(mask: int):
-    """Indices of the set bits of mask, lowest first."""
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of mask, ascending.
+
+    Read from the top: clearing the highest bit shortens the mask to its
+    next set bit, where isolating the lowest (``mask & -mask``) copies all
+    of it for each bit.
+    """
+    out = []
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        j = mask.bit_length() - 1
+        out.append(j)
+        mask ^= 1 << j
+    out.reverse()
+    return out
 
 
 def _dfs_paths(start: int, succ: Sequence[Iterable[int]],
@@ -588,10 +596,12 @@ class Poset:
         two minimal elements of P (covers of 0̂), or two upper covers of
         one element, that share an upper bound in P; each needs a least
         common upper bound, which :meth:`_greatest` finds by a walk up the
-        covers. The definition is self-dual, so the test runs on P or on
-        its opposite, whichever has fewer minimal elements: the minimal
-        elements of a tree with its root on top make quadratically many
-        pairs, and those of its opposite none. The minimal elements go
+        covers. Two elements with a common bound lie in one connected
+        component, and the definition is self-dual, so each component is
+        tested on P or on its opposite, whichever gives it fewer minimal
+        elements: the minimal elements of a tree with its root on top make
+        quadratically many pairs, and those of its opposite none, and one
+        poset may hold trees of both kinds. The minimal elements go
         first, as sparse posets often fail there: the partners of a
         minimal element a are the minimal elements below the maximal
         elements above a. Two upper covers of one element are
@@ -609,12 +619,54 @@ class Poset:
                     maximal |= 1 << i
             elif not dcov[i]:
                 minimal |= 1 << i
-        up = minimal.bit_count() <= maximal.bit_count()
         above = self._above_masks or self._above
         below = self._below_masks or self._below
+        # a component is the union of the up-sets of its minimal elements
+        # and the down-sets of its maximal ones, so it is grown from those
+        flipped = 0  # the components with more minimal than maximal ones
+        rest = minimal | maximal
+        if not (minimal & (minimal - 1) and maximal & (maximal - 1)):
+            # one minimal or one maximal element: at most one component
+            if minimal.bit_count() > maximal.bit_count():
+                flipped = -1
+            rest = 0
+        while rest:
+            part = frontier = rest & -rest
+            while frontier:
+                grown = 0
+                for i in _bits(frontier & minimal):
+                    grown |= above[i]
+                for i in _bits(frontier & maximal):
+                    grown |= below[i]
+                frontier = grown & rest & ~part
+                part |= grown
+            rest &= ~part
+            if (part & minimal).bit_count() > (part & maximal).bit_count():
+                flipped |= part
+        return (self._complete_on(True, minimal & ~flipped,
+                                  maximal & ~flipped)
+                and (not flipped
+                     or self._complete_on(False, maximal & flipped,
+                                          minimal & flipped)))
+
+    def _complete_on(self, up: bool, minimal: int, maximal: int) -> bool:
+        """The test of :meth:`is_conditionally_complete`, on P when ``up``,
+        else on its opposite, for the components whose minimal and maximal
+        elements in that order are ``minimal`` and ``maximal``.
+
+        Only the pairs of minimal elements are kept to those components.
+        Two covers of one element are paired everywhere, which needs no
+        component mask: every such pair with a common upper bound has a
+        join in a conditionally complete poset, so the extra tests cannot
+        change the answer.
+        """
+        if not minimal:  # no component with a cover on this side
+            return True
+        above = self._above_masks or self._above
+        below = self._below_masks or self._below
+        ucov, dcov = self._ucov, self._dcov
         if not up:  # the same test on the opposite order
-            above, below, ucov, dcov = below, above, dcov, ucov
-            minimal, maximal = maximal, minimal
+            above, below, ucov = below, above, dcov
         searched: set[int] = set()
 
         def lacks_join(x: int, upper: int) -> bool:
@@ -626,9 +678,8 @@ class Poset:
             return self._greatest(x, upper, up) is None
 
         seen: set[tuple[int, ...]] = set()  # upper covers tested before
-        for a, upper in enumerate(above):
-            if dcov[a] or not upper:
-                continue
+        for a in _bits(minimal):
+            upper = above[a]
             if ucov[a] in seen:
                 if lacks_join(a, upper):
                     return False

@@ -34,15 +34,20 @@ oracle's relation, tested pair by pair, is checked where it is built, in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import oracle
+from .errors import UnknownLabel
 from .poset import Poset, _memoized
 from .veins import _bridge_runs
 
 
-@dataclass(frozen=True)
-class PruneWitness:
-    """A maximal chain of [x, y] containing no strict vein."""
+class PruneWitness(NamedTuple):
+    """A maximal chain of [x, y] containing no strict vein.
+
+    A tuple record: immutable, it unpacks as ``x, y, chain`` and compares
+    equal to the plain tuple of its fields.
+    """
 
     x: str
     y: str
@@ -92,13 +97,17 @@ def _non_bridge_covers(p: Poset) -> list[tuple[int, ...]]:
 
 
 @_memoized
-def _built_pruned(p: Poset) -> Poset:
+def _built_pruned(p: Poset) -> Poset | None:
     """The pruned poset, built from the non-bridge covers without a closure.
 
     They are its covers (:func:`pruning_witness`, fact 1), and deleting
     edges keeps p's successors-first order valid, so p's labels, index and
-    order are shared.
+    order are shared. None when p has no bridge edge, so is its own
+    pruning: storing p in its own memo would make a reference cycle, which
+    keeps the poset alive until the collector's next full pass.
     """
+    if not _bridge_runs(p):
+        return None
     return Poset._from_covers(p._labels, p._index, _non_bridge_covers(p),
                               p._order)
 
@@ -106,11 +115,10 @@ def _built_pruned(p: Poset) -> Poset:
 def _pruned(p: Poset) -> Poset:
     """The pruned poset of the fast route, built once per poset.
 
-    A poset without bridge edges is its own pruning and is returned as is:
-    storing p in its own memo would make a reference cycle, which keeps
-    the poset alive until the collector's next full pass.
+    An empty poset is falsy (``Poset.__len__``), hence the ``is None``.
     """
-    return _built_pruned(p) if _bridge_runs(p) else p
+    q = _built_pruned(p)
+    return p if q is None else q
 
 
 def pruning_leq(p: Poset, x: str, y: str) -> bool:
@@ -132,30 +140,39 @@ def pruning_witness(p: Poset, x: str, y: str) -> PruneWitness | None:
        along non-bridge covers, so x <* y exactly when it holds x.
 
     From x the walk steps to the lowest-index non-bridge upper cover from
-    which y is still reachable, until it reaches y. Any such cover lies
-    in [x, y], so no interval mask and no bridge set is needed. The
-    oracle's depth-first search returns the same chain, because the
-    reachability mask rejects exactly the branches on which that search
-    would fail. The walk tests each upper cover of the chain's elements
-    against that mask once.
+    which y is still reachable (y itself, or a member of that mask), until
+    it reaches y. Any such cover lies in [x, y], so no interval mask and
+    no bridge set is needed. The oracle's depth-first search returns the
+    same chain, because the reachability mask rejects exactly the branches
+    on which that search would fail. The walk tests each upper cover of
+    the chain's elements once; everything else a query does is constant:
+    one memo read for q and two index reads.
+
+    The witness is a :class:`PruneWitness` tuple record: it unpacks as
+    ``x, y, chain`` and equals ``(x, y, chain)``; ``dataclasses.asdict``
+    and ``dataclasses.replace`` do not apply to it.
     """
     q = _pruned(p)
-    ix, iy = p._i(x), p._i(y)
+    index = p._index
+    try:
+        ix, iy = index[x], index[y]
+    except KeyError as missing:
+        raise UnknownLabel(f"unknown label {missing.args[0]!r}") from None
     below = (q._below_masks or q._below)[iy]
     if not below >> ix & 1:
         return None  # x <* x never holds
-    reach = below | 1 << iy
+    ucov, labels = q._ucov, q._labels
     chain = [x]
     i = ix
     while i != iy:
-        for j in q._ucov[i]:
-            if reach >> j & 1:
+        for j in ucov[i]:
+            if j == iy or below >> j & 1:
                 break
         else:  # cannot happen: y is reachable from x and from every pick
             raise AssertionError("the witness walk lost its way")
         i = j
-        chain.append(q._labels[i])
-    return PruneWitness(x=x, y=y, chain=tuple(chain))
+        chain.append(labels[j])
+    return PruneWitness(x, y, tuple(chain))
 
 
 def prune(p: Poset, mode: str = "fast") -> PruneReport:

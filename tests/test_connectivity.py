@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+import veinprune.connectivity
 from veinprune import (
     EmptySet,
     MemberNotSubset,
@@ -104,3 +105,31 @@ def test_components_partition(fx):
             assert not (seen & comp)
             seen |= comp
         assert seen == set(p.elements)
+
+
+def test_connectivity_is_decided_once_per_family(monkeypatch):
+    # is_point_connected and components both need a connectivity; the
+    # quadratic pair scan behind that verdict runs for the first ask only
+    scans = []
+    real = veinprune.connectivity.combinations
+
+    def counting(members, r):
+        scans.append(r)
+        return real(members, r)
+
+    monkeypatch.setattr(veinprune.connectivity, "combinations", counting)
+    f = fam("abc", [{"a"}, {"b"}, {"c"}, {"a", "b"}])
+    assert f.is_connectivity()
+    assert f.is_point_connected()
+    assert f.components() == [frozenset("ab"), frozenset("c")]
+    assert f.is_connectivity()
+    assert scans == [2]
+    # a failed verdict is kept too, and each method keeps its error
+    h = fam("abc", [{"a", "b"}, {"b", "c"}])
+    scans.clear()
+    assert not h.is_connectivity()
+    with pytest.raises(NotAConnectivity):
+        h.is_point_connected()
+    with pytest.raises(NotAConnectivity):
+        h.components()
+    assert scans == [2]

@@ -136,3 +136,16 @@ def test_irr_states_preservation_without_pruning(tmp_path, monkeypatch,
 def test_profiles_stable_under_pruning(fx):
     for p in fx.values():
         assert profiles(prune(p).pruned) == profiles(p)
+
+
+def test_profile_is_an_immutable_tuple_record(yp):
+    entry = profiles(yp)["b"]
+    assert entry._fields == ("element", "irreducible", "coirreducible")
+    assert entry == ("b", False, True)
+    element, *flags = entry
+    assert element == "b" and flags == [False, True]
+    assert not entry.doubly and profiles(yp)["c"].doubly
+    assert repr(entry) == ("IrreducibilityProfile(element='b', "
+                           "irreducible=False, coirreducible=True)")
+    with pytest.raises(AttributeError):
+        entry.irreducible = True

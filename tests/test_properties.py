@@ -583,3 +583,30 @@ def test_greedy_witness_is_the_oracle_witness(p):
                  for m in twin.maximal_chains_in_interval(x, y)
                  if not any(v <= m for v in veins)]
         assert (fast.chain if fast else None) == min(clean, default=None)
+
+
+@given(st.one_of(
+    st.just(0),
+    # sparse: a few bits anywhere in a mask thousands of bits wide
+    st.sets(st.integers(min_value=0, max_value=6000), max_size=12).map(
+        lambda bits: sum(1 << i for i in bits)),
+    # dense: every bit drawn
+    st.binary(max_size=64).map(lambda raw: int.from_bytes(raw, "little"))))
+def test_bits_lists_the_set_bits_ascending(mask):
+    assert _bits(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+@given(st.lists(st.one_of(posets(max_size=5), crowns(), fences(max_size=6),
+                          lattices()), min_size=2, max_size=3))
+def test_completeness_of_a_disjoint_union(parts):
+    # each component is tested from the side with fewer minimal elements
+    # in it, so the parts of one union may be tested from different sides
+    labels, pairs = [], []
+    for k, part in enumerate(parts):
+        labels += [f"{k}{x}" for x in part.labels]
+        pairs += [(f"{k}{a}", f"{k}{b}") for a, b in part.covers]
+    p = Poset.from_relations(labels, pairs)
+    complete = p.is_conditionally_complete()
+    assert complete == all(ref.mirror(part).conditionally_complete()
+                           for part in parts)
+    assert complete == ref.mirror(p).conditionally_complete()

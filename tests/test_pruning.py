@@ -362,3 +362,14 @@ def test_cover_inheritance_check(yp, b3, c3):
 def test_cover_inheritance_everywhere(fx):
     outcome = suite._cover_inheritance_lemma(list(fx.values()))
     assert outcome.ok, outcome.smallest()
+
+
+def test_witness_is_an_immutable_tuple_record(yp):
+    w = pruning_witness(yp, "b", "c")
+    assert w._fields == ("x", "y", "chain")
+    assert w == ("b", "c", ("b", "c"))
+    x, y, chain = w
+    assert (x, y, chain) == (w.x, w.y, w.chain)
+    assert repr(w) == "PruneWitness(x='b', y='c', chain=('b', 'c'))"
+    with pytest.raises(AttributeError):
+        w.chain = ("b",)
