@@ -6,8 +6,9 @@
 # REV's src/ is extracted with git archive. Every invocation below runs
 # once against that tree and once against the working tree's src/, from
 # the same directory, and stdout, stderr and the exit code are compared.
-# A last step does the same for the library's witness chains and profiles,
-# which no command prints.
+# Two last steps do the same for library results that no command prints:
+# the witness chains and profiles, and the chain, interval, subposet and
+# opposite views of the order.
 # Prints SAME OUTPUT and exits 0, or names the first invocation that
 # differs and exits 1.
 set -euo pipefail
@@ -19,11 +20,12 @@ mkdir "$work/rev" "$work/in"
 git -C "$repo" archive "$rev" src | tar -x -C "$work/rev"
 cd "$work/in"
 
-# run TREE RESULT ARGS...: one invocation, its streams and code under RESULT
+# run TREE RESULT ARGS...: python3 ARGS on TREE, its streams and code
+# under RESULT
 run() {
   local tree=$1 result=$2 rc=0
   shift 2
-  PYTHONDONTWRITEBYTECODE=1 PYTHONPATH="$tree" python3 -m veinprune.cli "$@" \
+  PYTHONDONTWRITEBYTECODE=1 PYTHONPATH="$tree" python3 "$@" \
     >"$result.out" 2>"$result.err" || rc=$?
   echo "$rc" >"$result.rc"
 }
@@ -44,8 +46,8 @@ count=0
 # same ARGS...: run at REV and in the working tree; stop at a difference
 same() {
   count=$((count + 1))
-  run "$work/rev/src" "$work/rev.res" "$@"
-  run "$repo/src" "$work/new.res" "$@"
+  run "$work/rev/src" "$work/rev.res" -m veinprune.cli "$@"
+  run "$repo/src" "$work/new.res" -m veinprune.cli "$@"
   differ "veinprune $*"
 }
 
@@ -229,14 +231,19 @@ done
 same check --count 30 --max-size 10
 
 
+# library SCRIPT FILES...: a Python script run on input files at REV and
+# in the working tree, its streams and code compared like an invocation
+library() {
+  count=$((count + 1))
+  run "$work/rev/src" "$work/rev.res" "$@"
+  run "$repo/src" "$work/new.res" "$@"
+  differ "$(basename "$1") on ${*:2}"
+}
+
 # the library side of the benchmark's witness op, which no command prints:
 # the pruning_witness chain (or -) of every strict pair, and profiles(),
-# each hashed per input; run at REV and in the working tree like the rest
-library() {
-  local tree=$1 result=$2 rc=0
-  shift 2
-  PYTHONDONTWRITEBYTECODE=1 PYTHONPATH="$tree" python3 - "$@" \
-    >"$result.out" 2>"$result.err" <<'PY' || rc=$?
+# each hashed per input
+cat > "$work/witnesses.py" <<'PY'
 import hashlib
 import sys
 
@@ -258,20 +265,63 @@ for path in sys.argv[1:]:
     print(path, len(pairs), "witnesses", chains.hexdigest())
     print(path, len(p), "profiles", flags.hexdigest())
 PY
-  echo "$rc" >"$result.rc"
-}
-# a ladder of 40 diamonds ending in a bridge, as in the deep_shapes workload
-{
-  for i in $(seq 40); do
+# the order views no command prints in full: maximal_chains(), the maximal
+# chains of the interval of every strict pair, the subposets induced on
+# seeded subsets, and the covers and relations of opposite(), hashed per
+# input; the interval chains and induced subposets are looked up in the
+# oracle, falling back to the Poset methods of older revisions
+cat > "$work/orders.py" <<'PY'
+import hashlib
+import random
+import sys
+
+from veinprune import oracle
+from veinprune.formats import load_document
+
+
+def moved(name):
+    """The oracle function ``name``, or the Poset method it replaced."""
+    return (getattr(oracle, name, None)
+            or (lambda p, *args: getattr(p, name)(*args)))
+
+
+in_interval = moved("maximal_chains_in_interval")
+induced = moved("induced_subposet")
+for path in sys.argv[1:]:
+    with open(path, encoding="utf-8") as fh:
+        p = load_document(fh.read()).to_poset()
+    digest = hashlib.sha256()
+
+    def put(*parts):
+        digest.update(repr(parts).encode() + b"\n")
+
+    chains = p.maximal_chains()
+    put("maximal", chains)
+    pairs = p.relations()
+    for x, y in pairs:
+        put("interval", x, y, in_interval(p, x, y))
+    rng = random.Random(f"induced:{path}")
+    for _ in range(8):
+        subset = [x for x in p.labels if rng.random() < 0.5] or [p.labels[0]]
+        q = induced(p, subset)
+        put("induced", subset, q.covers, q.relations())
+    q = p.opposite()
+    put("opposite", q.covers, q.relations())
+    print(path, len(chains), "chains", len(pairs), "pairs", digest.hexdigest())
+PY
+# a ladder of 40 diamonds ending in a bridge, as in the deep_shapes
+# workload, and one of 8
+for k in 40 8; do
+  for i in $(seq "$k"); do
     echo "b$((i-1)) < l$i"; echo "b$((i-1)) < r$i"
     echo "l$i < b$i"; echo "r$i < b$i"
-  done
-  echo "b40 < t"
-} > ladder40.txt
-count=$((count + 1))
-library "$work/rev/src" "$work/rev.res" sparse4000.txt ladder40.txt
-library "$repo/src" "$work/new.res" sparse4000.txt ladder40.txt
-differ "pruning_witness and profiles on sparse4000.txt and ladder40.txt"
+  done > "ladder$k.txt"
+  echo "b$k < t" >> "ladder$k.txt"
+done
+library "$work/witnesses.py" sparse4000.txt ladder40.txt
+gen b4.txt boolean --size 4
+library "$work/orders.py" C3.txt Yp.txt Vee.txt B3.txt A2.txt ladder8.txt \
+  b4.txt
 
 echo "$count invocations compared with $rev"
 echo "SAME OUTPUT"

@@ -12,7 +12,8 @@ pruning relation is a strict order inside the poset before building it;
 Labels are mapped to indices once, where a public function takes its
 arguments, and back once, where it returns its result. In between, a
 chain is an index mask, tested against the index masks of the maximal
-chains, which come straight from the cover paths:
+chains, which come from the poset's one memoized walk of its cover paths
+(:meth:`Poset.maximal_chains` labels the same walk):
 
 - irreducible: every maximal chain mask that meets the chain mask
   contains it (:func:`_irreducible`);
@@ -29,6 +30,12 @@ completeness by a route of its own. The module imports only
 :mod:`veinprune.poset`, :mod:`veinprune.connectivity` and
 :mod:`veinprune.errors`, so it never depends on the route it checks.
 
+The maximal chains of an interval are walked in one place,
+:func:`_interval_paths`, which the witness search and
+:func:`maximal_chains_in_interval` read. That function and
+:func:`induced_subposet` have no reader in the fast route, so they live
+here rather than on :class:`Poset`.
+
 Each walk below starts from the elements in index order and follows
 ascending successor lists, in preorder, so it lists its index paths in
 lexicographic order; labels are sorted, so that is the order of the
@@ -41,7 +48,7 @@ from collections.abc import Iterable, Iterator, Sequence
 
 from .connectivity import SetFamily
 from .errors import (EmptySet, InternalOrderViolation, NotAChain,
-                     NotConditionallyComplete, TooLarge)
+                     NotComparable, NotConditionallyComplete, TooLarge)
 from .poset import Poset, _bits, _dfs_paths, _memoized
 
 
@@ -59,11 +66,8 @@ def _labelled(p: Poset, paths: Iterable[Iterable[int]]) -> list[tuple[str, ...]]
 
 @_memoized
 def _maximal_chain_masks(p: Poset) -> tuple[int, ...]:
-    """The maximal chains as masks: the cover paths from a minimal to a
-    maximal element."""
-    ucov = p._ucov
-    return tuple(_mask_of(path) for i, down in enumerate(p._dcov) if not down
-                 for path in _dfs_paths(i, ucov) if not ucov[path[-1]])
+    """The maximal chains as masks, from the poset's one walk of them."""
+    return tuple(map(_mask_of, p._maximal_chain_paths()))
 
 
 def _irreducible(p: Poset, cm: int) -> bool:
@@ -124,21 +128,44 @@ def _strict_vein_masks(p: Poset) -> tuple[int, ...]:
     return tuple(map(_mask_of, _strict_vein_paths(p)))
 
 
+def _interval_paths(p: Poset, ix: int, iy: int) -> Iterator[list[int]]:
+    """The maximal chains of [x, y] as index paths, in lexicographic order.
+
+    Intervals are convex, so these are the cover paths from x to y inside
+    the interval mask (none unless x <= y). The same list is yielded
+    every time; copy what you keep.
+    """
+    for path in _dfs_paths(ix, p._ucov, p._interval_mask(ix, iy)):
+        if path[-1] == iy:
+            yield path
+
+
+def maximal_chains_in_interval(p: Poset, x: str,
+                               y: str) -> list[tuple[str, ...]]:
+    """All maximal chains of [x, y], ascending, lexicographic order.
+
+    Each is saturated in the whole poset. Raises NotComparable unless
+    x <= y.
+    """
+    ix, iy = p._i(x), p._i(y)
+    if ix != iy and not p._above[ix] >> iy & 1:
+        raise NotComparable(f"{x!r} <= {y!r} does not hold")
+    return _labelled(p, _interval_paths(p, ix, iy))
+
+
 def _clean_chain_ix(p: Poset, ix: int, iy: int) -> tuple[int, ...] | None:
     """Lexicographically least maximal chain of [x, y] with no strict vein.
 
-    None unless x < y. The cover paths from x to y are walked depth
-    first, lowest index first, up to the first one that contains no
-    strict vein.
+    None unless x < y. The chains of [x, y] are walked up to the first
+    one that contains no strict vein.
     """
     if not p._above[ix] >> iy & 1:
         return None
     veins = _strict_vein_masks(p)
-    for path in _dfs_paths(ix, p._ucov, p._interval_mask(ix, iy)):
-        if path[-1] == iy:
-            cm = _mask_of(path)
-            if all(v & ~cm for v in veins):
-                return tuple(path)
+    for path in _interval_paths(p, ix, iy):
+        cm = _mask_of(path)
+        if all(v & ~cm for v in veins):
+            return tuple(path)
     return None
 
 
@@ -306,6 +333,20 @@ def is_connectivity_exhaustive(fam: SetFamily, max_members: int = 20) -> bool:
     return True
 
 
+def induced_subposet(p: Poset, subset: Iterable[str]) -> Poset:
+    """The poset induced on a nonempty subset, order restricted."""
+    idxs = sorted({p._i(x) for x in subset})
+    if not idxs:
+        raise EmptySet("an induced subposet needs at least one element")
+    smask = _mask_of(idxs)
+    # renumbering keeps the order of the indices, so rows stay ascending
+    pos = {old: new for new, old in enumerate(idxs)}
+    above = p._above
+    return Poset(tuple(p._labels[i] for i in idxs),
+                 [tuple(pos[j] for j in _bits(above[old] & smask))
+                  for old in idxs])
+
+
 def is_filtered_upset(p: Poset, subset: Iterable[str]) -> bool:
     """True iff ``subset`` is up-closed and down-directed (a filter).
 
@@ -313,9 +354,7 @@ def is_filtered_upset(p: Poset, subset: Iterable[str]) -> bool:
     subset. The empty set counts as a filter.
     """
     idxs = sorted({p._i(x) for x in subset})
-    smask = 0
-    for i in idxs:
-        smask |= 1 << i
+    smask = _mask_of(idxs)
     above = p._above
     for i in idxs:
         if above[i] & ~smask:

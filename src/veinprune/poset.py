@@ -27,7 +27,6 @@ from .errors import (
     DuplicateLabel,
     EmptySet,
     NotAChain,
-    NotComparable,
     UnknownLabel,
 )
 
@@ -117,10 +116,7 @@ class Poset:
     elements strictly above and below i as bitmasks: on dense shapes, such
     as a long chain, those are the compact form of the order. Each table
     is filled once, when first read, unless the constructor already has
-    it. The hot readers (``leq``, ``lt``, meets, joins, intervals and the
-    pruning witness walk) read a filled table straight from its slot,
-    ``self._above_masks or self._above``: a property read is a Python
-    call, about four times the cost of a slot read.
+    it.
     """
 
     __slots__ = ("_labels", "_index", "_above_masks", "_below_masks",
@@ -362,13 +358,11 @@ class Poset:
     def leq(self, x: str, y: str) -> bool:
         """True iff x <= y."""
         ix, iy = self._i(x), self._i(y)
-        above = self._above_masks or self._above
-        return ix == iy or above[ix] >> iy & 1 == 1
+        return ix == iy or self._above[ix] >> iy & 1 == 1
 
     def lt(self, x: str, y: str) -> bool:
         """True iff x < y strictly."""
-        above = self._above_masks or self._above
-        return above[self._i(x)] >> self._i(y) & 1 == 1
+        return self._above[self._i(x)] >> self._i(y) & 1 == 1
 
     def comparable(self, x: str, y: str) -> bool:
         return self.leq(x, y) or self.leq(y, x)
@@ -401,9 +395,7 @@ class Poset:
         return frozenset(self._labels_of(self._interval_mask(ix, iy)))
 
     def _interval_mask(self, ix: int, iy: int) -> int:
-        above = self._above_masks or self._above
-        below = self._below_masks or self._below
-        return (above[ix] | 1 << ix) & (below[iy] | 1 << iy)
+        return (self._above[ix] | 1 << ix) & (self._below[iy] | 1 << iy)
 
     # ------------------------------------------------------------------
     # chains and convexity
@@ -469,53 +461,31 @@ class Poset:
         Maximal chains of a finite poset are exactly the saturated cover
         paths from a minimal to a maximal element.
         """
-        return list(self._maximal_chains())
+        labels = self._labels
+        return [tuple(labels[k] for k in path)
+                for path in self._maximal_chain_paths()]
 
     @_memoized
-    def _maximal_chains(self) -> tuple[tuple[str, ...], ...]:
-        ucov, labels = self._ucov, self._labels
-        return tuple(tuple(labels[k] for k in path)
-                     for i, down in enumerate(self._dcov) if not down
-                     for path in _dfs_paths(i, ucov)
-                     if not ucov[path[-1]])
-
-    def maximal_chains_in_interval(self, x: str, y: str) -> list[tuple[str, ...]]:
-        """All maximal chains of [x, y], ascending, lexicographic order.
-
-        Intervals are convex, so these are the cover paths from x to y in
-        the ambient cover digraph; each is saturated in the whole poset.
-        Raises NotComparable unless x <= y.
-        """
-        ix, iy = self._i(x), self._i(y)
-        if ix != iy and not self._above[ix] >> iy & 1:
-            raise NotComparable(f"{x!r} <= {y!r} does not hold")
-        # the upper covers of y lie outside [x, y], so paths end at y
-        return [tuple(self._labels[k] for k in path)
-                for path in _dfs_paths(ix, self._ucov,
-                                       self._interval_mask(ix, iy))
-                if path[-1] == iy]
+    def _maximal_chain_paths(self) -> tuple[tuple[int, ...], ...]:
+        """The maximal chains as ascending index tuples, in lexicographic
+        order: :meth:`maximal_chains` labels them, the oracle masks them."""
+        ucov = self._ucov
+        return tuple(tuple(path) for i, down in enumerate(self._dcov)
+                     if not down
+                     for path in _dfs_paths(i, ucov) if not ucov[path[-1]])
 
     # ------------------------------------------------------------------
     # derived posets
 
-    def induced_subposet(self, subset: Iterable[str]) -> Poset:
-        """The poset induced on a nonempty subset, order restricted."""
-        idxs = sorted({self._i(x) for x in subset})
-        if not idxs:
-            raise EmptySet("an induced subposet needs at least one element")
-        smask = 0
-        for i in idxs:
-            smask |= 1 << i
-        # renumbering keeps the order of the indices, so rows stay ascending
-        pos = {old: new for new, old in enumerate(idxs)}
-        above = self._above
-        return Poset(tuple(self._labels[i] for i in idxs),
-                     [tuple(pos[j] for j in _bits(above[old] & smask))
-                      for old in idxs])
-
     def opposite(self) -> Poset:
-        """The dual poset: same elements, order reversed."""
-        return Poset(self._labels, self._dcov)
+        """The dual poset: same elements, order reversed.
+
+        Its upper covers are the lower covers here, and the reverse of the
+        successors-first order lists each element after them, so nothing
+        is closed or checked again.
+        """
+        return Poset._from_covers(self._labels, self._index, self._dcov,
+                                  self._order[::-1])
 
     # ------------------------------------------------------------------
     # bounds
@@ -536,9 +506,9 @@ class Poset:
         if not bound & (bound - 1):  # empty, or its own answer
             return bound.bit_length() - 1 if bound else None
         if up:
-            far, near = self._above_masks or self._above, self._ucov
+            far, near = self._above, self._ucov
         else:
-            far, near = self._below_masks or self._below, self._dcov
+            far, near = self._below, self._dcov
         x = a
         while not bound >> x & 1:
             for c in near[x]:
@@ -553,7 +523,7 @@ class Poset:
     def meet(self, a: str, b: str) -> str | None:
         """Greatest lower bound of a and b, or None when it does not exist."""
         ia, ib = self._i(a), self._i(b)
-        below = self._below_masks or self._below
+        below = self._below
         lower = (below[ia] | 1 << ia) & (below[ib] | 1 << ib)
         top = self._greatest(ia, lower)
         return None if top is None else self._labels[top]
@@ -561,7 +531,7 @@ class Poset:
     def join(self, a: str, b: str) -> str | None:
         """Least upper bound of a and b, or None when it does not exist."""
         ia, ib = self._i(a), self._i(b)
-        above = self._above_masks or self._above
+        above = self._above
         upper = (above[ia] | 1 << ia) & (above[ib] | 1 << ib)
         bot = self._greatest(ia, upper, up=True)
         return None if bot is None else self._labels[bot]
@@ -619,8 +589,7 @@ class Poset:
                     maximal |= 1 << i
             elif not dcov[i]:
                 minimal |= 1 << i
-        above = self._above_masks or self._above
-        below = self._below_masks or self._below
+        above, below = self._above, self._below
         # a component is the union of the up-sets of its minimal elements
         # and the down-sets of its maximal ones, so it is grown from those
         flipped = 0  # the components with more minimal than maximal ones
@@ -662,8 +631,7 @@ class Poset:
         """
         if not minimal:  # no component with a cover on this side
             return True
-        above = self._above_masks or self._above
-        below = self._below_masks or self._below
+        above, below = self._above, self._below
         ucov, dcov = self._ucov, self._dcov
         if not up:  # the same test on the opposite order
             above, below, ucov = below, above, dcov

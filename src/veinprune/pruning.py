@@ -158,7 +158,7 @@ def pruning_witness(p: Poset, x: str, y: str) -> PruneWitness | None:
         ix, iy = index[x], index[y]
     except KeyError as missing:
         raise UnknownLabel(f"unknown label {missing.args[0]!r}") from None
-    below = (q._below_masks or q._below)[iy]
+    below = q._below[iy]
     if not below >> ix & 1:
         return None  # x <* x never holds
     ucov, labels = q._ucov, q._labels

@@ -220,6 +220,21 @@ def test_check_reports_failures(monkeypatch, capsys):
                 "('a', 'c')", ["a", "b", "c"], [["a", "c"], ["b", "c"]]))
 
 
+def test_check_fails_when_the_completeness_routes_disagree(monkeypatch,
+                                                          capsys):
+    # the cover test calling every poset complete sends incomplete ones to
+    # the meet check, whose own scan finds the missing meet: a failed
+    # check (exit 1), not an input error
+    monkeypatch.setattr(veinprune.Poset, "is_conditionally_complete",
+                        lambda p: True)
+    assert cli(["check", "--count", "30", "--seed", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] \
+        == ["FAIL meet_equivalence (34 checked, 5 violations)"]
+    assert "meet_equivalence: the cover test calls the poset " \
+        "conditionally complete, the meet scan does not" in err
+
+
 @pytest.mark.parametrize("argv", [["--max-size", "0"], ["--count", "-1"]])
 def test_check_rejects_bad_sizes(argv, capsys):
     assert cli(["check"] + argv) == 2

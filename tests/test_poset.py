@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import string
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import veinprune
 from veinprune import (
     CycleDetected,
     DuplicateLabel,
@@ -197,26 +199,26 @@ def test_maximal_chains_are_maximal(fx):
 
 
 def test_maximal_chains_in_interval(b3, c3, yp):
-    assert b3.maximal_chains_in_interval("{}", "{1,2}") == [
+    assert oracle.maximal_chains_in_interval(b3, "{}", "{1,2}") == [
         ("{}", "{1}", "{1,2}"),
         ("{}", "{2}", "{1,2}"),
     ]
-    assert c3.maximal_chains_in_interval("a", "c") == [("a", "b", "c")]
-    assert c3.maximal_chains_in_interval("b", "b") == [("b",)]
+    assert oracle.maximal_chains_in_interval(c3, "a", "c") == [("a", "b", "c")]
+    assert oracle.maximal_chains_in_interval(c3, "b", "b") == [("b",)]
     with pytest.raises(NotComparable):
-        yp.maximal_chains_in_interval("c", "d")
+        oracle.maximal_chains_in_interval(yp, "c", "d")
 
 
 def test_induced_subposet(b3, yp):
-    q = b3.induced_subposet(["{}", "{1}", "{1,2}"])
+    q = oracle.induced_subposet(b3, ["{}", "{1}", "{1,2}"])
     assert q.covers == (("{1}", "{1,2}"), ("{}", "{1}"))
-    r = yp.induced_subposet({"c", "d"})
+    r = oracle.induced_subposet(yp, {"c", "d"})
     assert r.relations() == ()
-    assert yp.induced_subposet(yp.elements) == yp
+    assert oracle.induced_subposet(yp, yp.elements) == yp
     with pytest.raises(EmptySet):
-        yp.induced_subposet([])
+        oracle.induced_subposet(yp, [])
     with pytest.raises(UnknownLabel):
-        yp.induced_subposet({"a", "zz"})
+        oracle.induced_subposet(yp, {"a", "zz"})
 
 
 def test_opposite(c3, yp, a2):
@@ -224,6 +226,30 @@ def test_opposite(c3, yp, a2):
     assert yp.opposite().covers == (("b", "a"), ("c", "b"), ("d", "b"))
     assert a2.opposite() == a2
     assert yp.opposite().opposite() == yp
+
+
+def test_opposite_is_built_from_the_covers(b3, monkeypatch):
+    # the covers and the order of the opposite are known, so building it
+    # runs no closure, and its order masks wait for their first reader
+    expected = Poset.from_relations(b3.labels,
+                                    [(y, x) for x, y in b3.relations()])
+
+    def closure(*args):
+        raise AssertionError("opposite() closed the order again")
+
+    monkeypatch.setattr(Poset, "__init__", closure)
+    q = b3.opposite()
+    assert q._above_masks is None and q._below_masks is None
+    assert q == expected
+    assert q.relations() == expected.relations()
+    assert q.heights() == expected.heights()
+
+
+def test_order_masks_are_read_through_their_properties():
+    # one way to read a mask table: the property fills it on first read
+    package = Path(veinprune.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        assert "_masks or" not in path.read_text(encoding="utf-8"), path.name
 
 
 def test_meet_join(b3, vee, a2, c3):

@@ -81,7 +81,7 @@ def test_witness_is_clean_maximal_interval_chain(fx):
                 assert pruning_leq(p, x, y)
                 assert (w.x, w.y) == (x, y)
                 assert w.chain[0] == x and w.chain[-1] == y
-                assert w.chain in p.maximal_chains_in_interval(x, y)
+                assert w.chain in oracle.maximal_chains_in_interval(p, x, y)
                 assert not any(v <= frozenset(w.chain) for v in veins)
 
 

@@ -293,7 +293,8 @@ def test_cross_checks_live_in_the_oracle():
              "irreducible_chain_family", "maximal_irreducible_chains",
              "star_chain_check", "cover_inheritance_check",
              "is_filtered_upset", "is_connectivity_exhaustive",
-             "vein_family", "is_irreducible_via_meet")
+             "vein_family", "is_irreducible_via_meet",
+             "maximal_chains_in_interval", "induced_subposet")
     owners = (importlib.import_module("veinprune.veins"),
               importlib.import_module("veinprune.pruning"),
               importlib.import_module("veinprune.irreducibles"),
@@ -301,3 +302,5 @@ def test_cross_checks_live_in_the_oracle():
     for owner in owners:
         for name in moved:
             assert not hasattr(owner, name), (owner, name)
+    # the poset walks its maximal chains once, as index paths
+    assert not hasattr(Poset, "_maximal_chains")
