@@ -1,0 +1,81 @@
+"""Compare the CPU time of the default ``check`` at a revision and in the working tree.
+
+    python3 scripts/check_cpu.py [REV]     (REV defaults to HEAD)
+
+REV's ``src/`` is exported with ``git archive`` into a temporary
+directory; nothing is written under ``.git``. Each of five rounds runs
+REV and the working tree once each, in a fresh interpreter, and swaps
+which goes first from one round to the next. A run sums, over seeds 1
+to 6, the least of 15 ``time.process_time`` readings of
+``cli(["check", "--seed", s])``. Prints every round and the medians.
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import io
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+ROUNDS = 5
+
+# prints the summed CPU seconds; stdout is the one number
+_CHILD = """
+import contextlib, io, sys, time
+import veinprune
+from veinprune.cli import cli
+if not veinprune.__file__.startswith(sys.argv[1]):
+    sys.exit(f"imported veinprune from {veinprune.__file__}")
+total = 0.0
+for seed in range(1, 7):
+    best = float("inf")
+    for _ in range(15):
+        with contextlib.redirect_stdout(io.StringIO()):
+            start = time.process_time()
+            rc = cli(["check", "--seed", str(seed)])
+            best = min(best, time.process_time() - start)
+        if rc != 0:
+            sys.exit(f"check --seed {seed} exited {rc}")
+    total += best
+print(total)
+"""
+
+
+def _run(src: Path) -> float:
+    """Seconds of CPU summed over the seeds, in a fresh interpreter on ``src``."""
+    out = subprocess.run(
+        [sys.executable, "-c", _CHILD, str(src)], check=True,
+        capture_output=True, text=True,
+        env={"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"})
+    return float(out.stdout)
+
+
+def main(argv: list[str]) -> int:
+    rev = argv[0] if argv else "HEAD"
+    archive = subprocess.run(["git", "-C", str(REPO), "archive", rev, "src"],
+                             check=True, capture_output=True).stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp)
+        trees = {rev: Path(tmp, "src"), "working tree": REPO / "src"}
+        times: dict[str, list[float]] = {name: [] for name in trees}
+        for r in range(ROUNDS):
+            names = list(trees) if r % 2 == 0 else list(trees)[::-1]
+            for name in names:
+                times[name].append(_run(trees[name]))
+            print(f"round {r + 1}: " + "  ".join(
+                f"{name} {times[name][-1] * 1e3:.1f} ms" for name in trees),
+                flush=True)
+    base, new = (statistics.median(t) for t in times.values())
+    print(f"median: {rev} {base * 1e3:.1f} ms  working tree "
+          f"{new * 1e3:.1f} ms ({(new - base) / base:+.1%})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -6,12 +6,14 @@ maximal chain of [x, y] dodges every strict vein), and profile which
 elements are irreducible, all on the fast cover-graph route
 (:mod:`veinprune.veins`, :mod:`veinprune.pruning`,
 :mod:`veinprune.irreducibles`). :mod:`veinprune.formats` reads and writes
-documents and needs only the poset. The definition-level route and its
-cross-checks live apart in :mod:`veinprune.oracle`; the property suite
-(:mod:`veinprune.suite`) holds the two equal, and ``mode="oracle"``
-selects the oracle in ``strict_veins``, ``prune`` and ``iterate_prune``
-(the CLI's ``--mode``). The function ``irreducibles`` is reached through
-its module, :mod:`veinprune.irreducibles`.
+documents and needs only the poset. The package root exports these, the
+generators, the set families and the errors, and nothing else: the
+definition-level route (:mod:`veinprune.oracle`) and the property suite
+that holds the two routes equal (:mod:`veinprune.suite`) are imported
+from their own modules. ``mode="oracle"`` selects the oracle in
+``strict_veins``, ``prune`` and ``iterate_prune`` (the CLI's
+``--mode``). The function ``irreducibles`` is reached through its
+module, :mod:`veinprune.irreducibles`.
 
 The tool half lives in :mod:`veinprune.cli` as the ``veinprune`` command.
 """
@@ -65,14 +67,6 @@ from .irreducibles import (
     preservation_report,
     profiles,
 )
-from .oracle import (
-    all_chains,
-    check_covering_characterization,
-    irreducible_chain_family,
-    is_irreducible_chain,
-    is_irreducible_via_meet,
-    maximal_irreducible_chains,
-)
 from .poset import Poset
 from .pruning import (
     PruneIteration,
@@ -82,15 +76,6 @@ from .pruning import (
     prune,
     pruning_leq,
     pruning_witness,
-)
-from .suite import (
-    CheckOutcome,
-    SuiteResult,
-    Violation,
-    cover_inheritance_check,
-    run_suite,
-    star_chain_check,
-    vein_family,
 )
 from .veins import (
     bridge_edges,

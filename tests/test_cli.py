@@ -222,8 +222,8 @@ def test_check_reports_failures(monkeypatch, capsys):
 
 def test_check_fails_when_the_completeness_routes_disagree(monkeypatch,
                                                           capsys):
-    # the cover test calling every poset complete sends incomplete ones to
-    # the meet check, whose own scan finds the missing meet: a failed
+    # the cover test calling every poset complete disagrees with the meet
+    # scan, which finds the missing meet of each incomplete one: a failed
     # check (exit 1), not an input error
     monkeypatch.setattr(veinprune.Poset, "is_conditionally_complete",
                         lambda p: True)
@@ -233,6 +233,20 @@ def test_check_fails_when_the_completeness_routes_disagree(monkeypatch,
         == ["FAIL meet_equivalence (34 checked, 5 violations)"]
     assert "meet_equivalence: the cover test calls the poset " \
         "conditionally complete, the meet scan does not" in err
+
+
+def test_check_fails_when_the_cover_test_calls_nothing_complete(monkeypatch,
+                                                              capsys):
+    # the mirror: every poset reaches the meet check, which compares both
+    # completeness routes before it compares the irreducibility tests
+    monkeypatch.setattr(veinprune.Poset, "is_conditionally_complete",
+                        lambda p: False)
+    assert cli(["check", "--count", "30", "--seed", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] \
+        == ["FAIL meet_equivalence (34 checked, 29 violations)"]
+    assert "meet_equivalence: the meet scan calls the poset " \
+        "conditionally complete, the cover test does not" in err
 
 
 @pytest.mark.parametrize("argv", [["--max-size", "0"], ["--count", "-1"]])

@@ -11,8 +11,8 @@ from veinprune import (
     TooLarge,
     UnknownLabel,
     oracle,
-    vein_family,
 )
+from veinprune.suite import vein_family
 
 
 def fam(ground, members):

@@ -11,13 +11,13 @@ from veinprune import (
     doubly_irreducibles,
     is_coirreducible,
     is_irreducible,
-    is_irreducible_via_meet,
     preservation_report,
     profiles,
     prune,
 )
 from veinprune.cli import cli
 from veinprune.irreducibles import irreducibles
+from veinprune.oracle import is_irreducible_via_meet
 
 
 def test_is_irreducible(c3, b3, yp):

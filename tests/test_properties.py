@@ -25,10 +25,8 @@ from veinprune import (
     coirreducibles,
     doubly_irreducibles,
     downset_lattice,
-    irreducible_chain_family,
     is_coirreducible,
     is_irreducible,
-    is_irreducible_via_meet,
     is_vein,
     iterate_prune,
     maximal_veins,
@@ -38,10 +36,11 @@ from veinprune import (
     pruning_leq,
     pruning_witness,
     strict_veins,
-    vein_family,
 )
 from veinprune.irreducibles import irreducibles
+from veinprune.oracle import irreducible_chain_family, is_irreducible_via_meet
 from veinprune.poset import _bits
+from veinprune.suite import vein_family
 
 
 @st.composite

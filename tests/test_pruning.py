@@ -14,18 +14,17 @@ from veinprune import (
     PruneReport,
     UnknownLabel,
     antichain_poset,
-    cover_inheritance_check,
     iterate_prune,
     oracle,
     prune,
     pruning_leq,
     pruning_witness,
     random_poset,
-    star_chain_check,
     strict_veins,
     suite,
 )
 from veinprune.cli import cli
+from veinprune.suite import cover_inheritance_check, star_chain_check
 from veinprune.veins import _bridge_runs
 
 from test_scale import ladder

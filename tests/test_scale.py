@@ -28,7 +28,6 @@ from veinprune import (
     chain_poset,
     emit_text,
     fence_poset,
-    is_irreducible_via_meet,
     is_vein,
     prune,
     pruning_witness,
@@ -36,6 +35,7 @@ from veinprune import (
 )
 from veinprune.cli import cli
 from veinprune.formats import load_document
+from veinprune.oracle import is_irreducible_via_meet
 
 
 def _write(tmp_path, p: Poset | None, name: str) -> str:

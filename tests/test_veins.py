@@ -18,21 +18,24 @@ from veinprune import (
     SetFamily,
     TooLarge,
     UnknownLabel,
-    all_chains,
     bridge_edges,
-    check_covering_characterization,
-    irreducible_chain_family,
-    is_irreducible_chain,
     is_vein,
-    maximal_irreducible_chains,
     maximal_veins,
     oracle,
     prune,
     strict_veins,
-    vein_family,
+    suite,
 )
 from veinprune.cli import cli
 from veinprune.formats import emit_json
+from veinprune.oracle import (
+    all_chains,
+    check_covering_characterization,
+    irreducible_chain_family,
+    is_irreducible_chain,
+    maximal_irreducible_chains,
+)
+from veinprune.suite import vein_family
 from veinprune.veins import _bridge_runs
 
 
@@ -266,6 +269,38 @@ def test_components_equal_maximal_veins(fx):
     for p in fx.values():
         comps = set(vein_family(p).components())
         assert comps == {frozenset(v) for v in maximal_veins(p)}
+
+
+def test_vein_restriction_fails_a_mutant_that_rejects_longer_veins(
+        fx, monkeypatch):
+    monkeypatch.setattr(oracle, "is_vein",
+                        lambda p, subset: len(set(subset)) < 2)
+    assert not suite._vein_restriction(list(fx.values()), 1).ok
+
+
+def test_vein_restriction_tests_only_longer_meets(fx, monkeypatch):
+    # a one-element meet is a vein by definition, so none is sent to the
+    # oracle, and the draws still test some longer one
+    real, sizes = oracle.is_vein, []
+
+    def spy(p, subset):
+        sizes.append(len(set(subset)))
+        return real(p, subset)
+
+    monkeypatch.setattr(oracle, "is_vein", spy)
+    assert suite._vein_restriction(list(fx.values()), 1).ok
+    assert sizes and min(sizes) >= 2
+
+
+def test_package_root_exports_neither_oracle_nor_suite_names():
+    root = importlib.import_module("veinprune")
+    for name in ("all_chains", "check_covering_characterization",
+                 "irreducible_chain_family", "is_irreducible_chain",
+                 "is_irreducible_via_meet", "maximal_irreducible_chains",
+                 "CheckOutcome", "SuiteResult", "Violation",
+                 "cover_inheritance_check", "run_suite", "star_chain_check",
+                 "vein_family"):
+        assert not hasattr(root, name), name
 
 
 def test_cross_checks_live_in_the_oracle():
