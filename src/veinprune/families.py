@@ -7,6 +7,11 @@ poset. Random posets draw each pair (i, j) with i < j in a fixed element
 order as a Bernoulli edge and take the transitive closure; the result is
 acyclic by construction.
 
+A sparse random poset (edge probability at most 2**-8) reads the same
+generator outputs in 512 KB blocks instead of one ``random()`` call per
+pair, and gets the same edges: ``random_poset`` says why the two draws
+agree.
+
 Each builder checks its own input and raises InvalidSpec: no size may be
 negative, a random poset needs at least one element and an edge
 probability in [0, 1], a corpus a largest size of at least one, and the
@@ -15,6 +20,7 @@ Boolean and down-set lattices are capped.
 
 from __future__ import annotations
 
+import math
 import random
 import string
 from itertools import combinations
@@ -26,6 +32,11 @@ FIXTURE_NAMES = ("C3", "Yp", "Vee", "B3", "A2")
 
 _MAX_BOOLEAN = 10
 _MAX_DOWNSET_BASE = 10
+
+# draws per getrandbits call: 2**16 draws of 64 bits, 512 KB
+_BLOCK = 1 << 16
+# the largest limit drawn in blocks, that of edge probability 2**-8
+_SPARSE_LIMIT = 1 << 45
 
 
 def _check_size(n: int) -> None:
@@ -86,19 +97,66 @@ def boolean_poset(k: int) -> Poset:
 
 
 def random_poset(size: int, seed: int = 0, edge_prob: float = 0.3) -> Poset:
-    """Bernoulli upper-triangular random poset, deterministic in the seed."""
+    """Bernoulli upper-triangular random poset, deterministic in the seed.
+
+    Pair (i, j), i < j, taken row by row, is an edge when its
+    ``rng.random()`` draw falls below ``edge_prob``. CPython builds that
+    draw from two 32-bit Mersenne Twister outputs a, b as the 53-bit
+    numerator ``(a >> 5) << 26 | b >> 6`` over 2**53, so it falls below
+    ``edge_prob`` exactly when the numerator falls below ``limit =
+    ceil(edge_prob * 2**53)`` (the product is exact). ``getrandbits(64 *
+    m)`` returns the same 2m outputs, first output in the lowest word, so
+    for ``limit <= 2**45`` (edge_prob at most 2**-8) ``_sparse_pairs``
+    draws whole blocks and decodes only the draws whose a is below 2**24,
+    about one in 256. Denser posets keep one ``random()`` call per pair,
+    which is faster there. Either way the poset is the one the per-pair
+    loop gives.
+    """
     if size < 1:
         raise InvalidSpec(f"size must be at least 1, got {size}")
     if not 0.0 <= edge_prob <= 1.0:
         raise InvalidSpec(f"edge_prob must lie in [0, 1], got {edge_prob}")
     rng = random.Random(seed)
     labels = _labels_for(size)
+    limit = math.ceil(edge_prob * 2**53)
+    if limit <= _SPARSE_LIMIT:
+        return Poset.from_relations(labels, _sparse_pairs(rng, labels, limit))
     pairs = []
     for i in range(size):
         for j in range(i + 1, size):
             if rng.random() < edge_prob:
                 pairs.append((labels[i], labels[j]))
     return Poset.from_relations(labels, pairs)
+
+
+def _sparse_pairs(rng: random.Random, labels: list[str],
+                  limit: int) -> list[tuple[str, str]]:
+    """The pairs whose 53-bit draw numerator is below ``limit`` <= 2**45.
+
+    Draw t of a block is bytes 8t..8t+7 of its little-endian bytes: a in
+    the low four, b in the high four. A numerator below 2**45 needs
+    a < 2**24, a zero byte 8t+3, so only those draws are decoded.
+    """
+    size = len(labels)
+    total = size * (size - 1) // 2
+    pairs = []
+    i, row_start, row_len = 0, 0, size - 1
+    for start in range(0, total, _BLOCK):
+        m = min(_BLOCK, total - start)
+        raw = rng.getrandbits(m << 6).to_bytes(m << 3, "little")
+        tops = raw[3::8]
+        t = tops.find(0)
+        while t >= 0:
+            word = int.from_bytes(raw[8 * t:8 * t + 8], "little")
+            if ((word & 0xFFFFFFFF) >> 5 << 26 | word >> 38) < limit:
+                k = start + t
+                while k >= row_start + row_len:
+                    row_start += row_len
+                    row_len -= 1
+                    i += 1
+                pairs.append((labels[i], labels[i + 1 + k - row_start]))
+            t = tops.find(0, t + 1)
+    return pairs
 
 
 def downset_lattice(base_size: int, seed: int = 0) -> Poset:
@@ -122,13 +180,12 @@ def downset_lattice(base_size: int, seed: int = 0) -> Poset:
     def label(mask: int) -> str:
         return "{" + ",".join(base.labels[i] for i in _bits(mask)) + "}"
 
-    labels = [label(m) for m in downs]
-    pairs = []
-    for a in downs:
-        for b in downs:
-            if a != b and not a & ~b:
-                pairs.append((label(a), label(b)))
-    return Poset.from_relations(labels, pairs)
+    # the covers: D < D with x added, for x outside D whose down-set D holds
+    names = {mask: label(mask) for mask in downs}
+    pairs = [(name, names[mask | 1 << x])
+             for mask, name in names.items() for x in range(n)
+             if not mask >> x & 1 and not below[x] & ~mask]
+    return Poset.from_relations(list(names.values()), pairs)
 
 
 def fixtures() -> dict[str, Poset]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -266,6 +267,16 @@ def test_gen_random_deterministic(capsys):
     first = capsys.readouterr().out
     assert cli(["gen", "random", "--size", "6", "--seed", "3"]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_gen_random_at_scale_is_pinned(capsys):
+    # the benchmark's sparse shape, drawn in blocks: a change to the draw
+    # that alters any seeded poset changes this digest
+    assert cli(["gen", "random", "--size", "4000", "--seed", "7",
+                "--edge-prob", "0.001"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c17378ac3f0628d9781247003ee403399796304996f61868c62b53f29de8a9d8")
 
 
 def test_gen_rejects_edge_prob_elsewhere(capsys):

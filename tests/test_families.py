@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
 
 from veinprune import (
@@ -15,6 +18,7 @@ from veinprune import (
     random_corpus,
     random_poset,
 )
+from veinprune import families
 
 
 def test_chain_poset():
@@ -68,6 +72,98 @@ def test_random_poset_is_valid():
         p = random_poset(6, seed=seed)
         # rebuilding from the closure must reproduce the poset exactly
         assert Poset.from_relations(p.labels, p.relations()) == p
+
+
+def _coin_poset(size, seed, edge_prob):
+    """The reference: one ``random()`` coin per pair (i, j), i < j, by row."""
+    rng = random.Random(seed)
+    labels = antichain_poset(size).labels
+    pairs = [(labels[i], labels[j])
+             for i in range(size) for j in range(i + 1, size)
+             if rng.random() < edge_prob]
+    return Poset.from_relations(labels, pairs)
+
+
+# the sparse side draws in blocks, the dense side coin by coin
+SPARSE_PROBS = (0.0, 1e-300, 2**-9, 0.001, 2**-8)
+DENSE_PROBS = (math.nextafter(2**-8, 1), 0.3, 1.0)
+
+
+def test_random_poset_equals_the_coin_loop():
+    def same(size, seed, prob):
+        p, q = random_poset(size, seed, prob), _coin_poset(size, seed, prob)
+        assert p == q and p.labels == q.labels, (size, seed, prob)
+
+    for prob in SPARSE_PROBS + DENSE_PROBS:
+        for size in range(1, 41):
+            for seed in range(3):
+                same(size, seed, prob)
+    # 65,341 and 65,703 pairs: within one 65,536-draw block and past it
+    for size in (362, 363):
+        for seed in range(3):
+            same(size, seed, 0.001)
+    same(1500, 4, 0.001)  # 18 blocks
+    # edge probabilities equal to a draw, where the draw is no edge, and
+    # just above it, where it is one: the decode must be exact
+    rng = random.Random(5)
+    for draw in sorted(rng.random() for _ in range(40 * 39 // 2))[:8]:
+        for prob in (draw, math.nextafter(draw, 1)):
+            same(40, 5, prob)
+
+
+def test_random_poset_draw_counts(monkeypatch):
+    made = []
+
+    class Counting(random.Random):
+        def __init__(self, seed):
+            self.calls = self.bits = 0
+            super().__init__(seed)
+            made.append(self)
+
+        def random(self):
+            self.calls += 1
+            return super().random()
+
+        def getrandbits(self, k):
+            self.bits += k
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(families.random, "Random", Counting)
+    for size in (1, 2, 40, 363):
+        pairs = size * (size - 1) // 2
+        for prob in SPARSE_PROBS + DENSE_PROBS:
+            made.clear()
+            random_poset(size, 1, prob)
+            (rng,) = made
+            if prob in SPARSE_PROBS:
+                assert (rng.calls, rng.bits) == (0, 64 * pairs), (size, prob)
+            else:
+                assert rng.calls == pairs, (size, prob)
+
+
+def _all_pairs_lattice(base_size, seed):
+    """The down-set lattice handed every inclusion pair: the reference."""
+    base = random_poset(base_size, seed, edge_prob=0.5)
+    below = base.relations()
+    downs = []
+    for mask in range(1 << base_size):
+        members = {x for i, x in enumerate(base.labels) if mask >> i & 1}
+        if all(x in members for x, y in below if y in members):
+            downs.append(members)
+    labels = ["{" + ",".join(x for x in base.labels if x in d) + "}"
+              for d in downs]
+    pairs = [(labels[a], labels[b])
+             for a, da in enumerate(downs) for b, db in enumerate(downs)
+             if da < db]
+    return Poset.from_relations(labels, pairs)
+
+
+def test_downset_lattice_equals_the_all_pairs_build():
+    for base_size in range(1, 9):
+        for seed in range(10):
+            p = downset_lattice(base_size, seed)
+            q = _all_pairs_lattice(base_size, seed)
+            assert p == q and p.labels == q.labels, (base_size, seed)
 
 
 def test_downset_lattice():
