@@ -176,6 +176,31 @@ for file in "${small[@]}" chain5000.txt ladder1000.txt sparse4000.txt; do
   same irr "$file"
   same dot "$file"
 done
+# malformed documents, each to fail on its first fault with exit 2: every
+# text ParseError (two '<', an empty side, inner whitespace in a relation
+# and in an element, an NBSP inside a label, a U+2028 line end), a bad
+# line after a cyclic pair, two bad lines, JSON with a malformed cover
+# before an unknown label and the reverse, and duplicate elements
+printf 'a < b\nb < c < d\n' > bad_double.txt
+printf 'a < b\n\nc <  # note\n' > bad_side.txt
+printf 'a b < c\n' > bad_relation.txt
+printf '# x\nok\na b\n' > bad_element.txt
+printf 'x\302\240y < z\n' > bad_nbsp.txt
+printf 'a < b\342\200\250c d\n' > bad_u2028.txt
+printf 'a < b\nb < a\nc d\n' > bad_after_cycle.txt
+printf 'a <\nx y\n' > bad_twice.txt
+printf '{"elements": ["a", "b"], "covers": [["a"], ["a", "z"]]}\n' \
+  > bad_entry_first.json
+printf '{"elements": ["a", "b"], "covers": [["a", "z"], ["a"]]}\n' \
+  > bad_unknown_first.json
+printf '{"elements": ["a", "b", "a"], "covers": [["a", "b"]]}\n' \
+  > bad_duplicate.json
+for file in bad_double.txt bad_side.txt bad_relation.txt bad_element.txt \
+    bad_nbsp.txt bad_u2028.txt bad_after_cycle.txt bad_twice.txt \
+    bad_entry_first.json bad_unknown_first.json bad_duplicate.json; do
+  same info "$file"
+  same prune "$file"
+done
 # 11,175 strict veins, every sub-run of one bridge run
 same veins chain150.txt
 # the completeness line of info and the footer of irr on lattices, a long

@@ -22,13 +22,14 @@ from .irreducibles import profiles
 from .poset import Poset
 
 
-def _load(path: str) -> formats.PosetDocument:
+def _load(path: str) -> tuple[Poset, str | None]:
+    """The poset and the name of the document at ``path`` ('-': stdin)."""
     if path == "-":
         text = sys.stdin.read()
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    return formats.load_document(text)
+    return formats._load(text)
 
 
 def _env_seed() -> int:
@@ -61,10 +62,9 @@ def _count_maximal_chains(p: Poset) -> int:
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
-    doc = _load(args.file)
-    p = doc.to_poset()
-    if doc.name:
-        print(f"name: {doc.name}")
+    p, name = _load(args.file)
+    if name:
+        print(f"name: {name}")
     print(f"elements: {len(p)}")
     print(f"cover pairs: {sum(map(len, p._ucov))}")
     print(f"strict relations: {sum(m.bit_count() for m in p._above)}")
@@ -92,7 +92,7 @@ def _block_lines(block: tuple[str, ...]) -> list[str]:
 
 
 def _cmd_veins(args: argparse.Namespace) -> int:
-    p = _load(args.file).to_poset()
+    p, _ = _load(args.file)
     if args.mode == "oracle":
         found = oracle.strict_veins(p)
         count, groups = len(found), [["  " + " ".join(v) for v in found]]
@@ -113,9 +113,9 @@ def _cmd_veins(args: argparse.Namespace) -> int:
 
 
 def _cmd_prune(args: argparse.Namespace) -> int:
-    doc = _load(args.file)
-    rep = pruning.prune(doc.to_poset(), mode=args.mode)
-    out_doc = formats.PosetDocument.from_poset(rep.pruned, name=doc.name)
+    p, name = _load(args.file)
+    rep = pruning.prune(p, mode=args.mode)
+    out_doc = formats.PosetDocument.from_poset(rep.pruned, name=name)
     if args.format == "text":
         payload = formats.emit_text(out_doc)
     elif args.format == "json":
@@ -133,7 +133,7 @@ def _cmd_prune(args: argparse.Namespace) -> int:
 def _cmd_iterate(args: argparse.Namespace) -> int:
     if args.max < 1:
         raise InvalidSpec(f"--max must be at least 1, got {args.max}")
-    p = _load(args.file).to_poset()
+    p, _ = _load(args.file)
     run = pruning.iterate_prune(p, max_iters=args.max, mode=args.mode)
     if run.fixpoint_index is None:
         print(f"error: no fixpoint within {args.max} iterations",
@@ -145,7 +145,7 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
 
 
 def _cmd_irr(args: argparse.Namespace) -> int:
-    p = _load(args.file).to_poset()
+    p, _ = _load(args.file)
     prof = profiles(p)
     width = max(map(len, ("element",) + p.labels))
     lines = [f"{'element':<{width}}  irreducible  coirreducible  doubly"]
@@ -223,7 +223,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_dot(args: argparse.Namespace) -> int:
-    p = _load(args.file).to_poset()
+    p, _ = _load(args.file)
     sys.stdout.write(formats.emit_dot(p, profiles(p)))
     return 0
 

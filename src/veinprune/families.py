@@ -172,19 +172,24 @@ def downset_lattice(base_size: int, seed: int = 0) -> Poset:
     base = random_poset(base_size, seed, edge_prob=0.5)
     n = len(base)
     below = base._below
-    downs = []
-    for mask in range(1 << n):
-        if all(not below[i] & ~mask for i in _bits(mask)):
-            downs.append(mask)
 
     def label(mask: int) -> str:
         return "{" + ",".join(base.labels[i] for i in _bits(mask)) + "}"
 
-    # the covers: D < D with x added, for x outside D whose down-set D holds
-    names = {mask: label(mask) for mask in downs}
-    pairs = [(name, names[mask | 1 << x])
-             for mask, name in names.items() for x in range(n)
-             if not mask >> x & 1 and not below[x] & ~mask]
+    # grown from the empty down-set along the covers: D < D with x added,
+    # for x outside D whose down-set D holds. Every nonempty down-set is
+    # reached, from itself less one of its maximal elements.
+    names = {0: label(0)}
+    grown = [0]
+    pairs = []
+    for mask in grown:  # grown gets longer as the loop runs
+        for x in range(n):
+            if not mask >> x & 1 and not below[x] & ~mask:
+                up = mask | 1 << x
+                if up not in names:
+                    names[up] = label(up)
+                    grown.append(up)
+                pairs.append((names[mask], names[up]))
     return Poset.from_relations(list(names.values()), pairs)
 
 

@@ -9,11 +9,18 @@ Text format, one statement per line:
 Whitespace around tokens is ignored. Labels are single tokens without
 whitespace, '<', or '#'. Relations may be non-cover; loading takes the
 transitive closure and emission always writes the cover pairs only.
+Loading reads each line once and validates the distinct labels together;
+only a text that fails is scanned again, line by line, so that the error
+names the first bad line.
 
 JSON format: an object with keys "elements" (array of strings), "covers"
 (array of two-element arrays), and an optional "name". Emission is
 canonical: fixed key order and sorted arrays, so equal posets serialize
 to equal bytes.
+
+The command line loads through ``_load``, which returns the poset and the
+name and builds no document: none of its commands reads the label lists
+of the document it loads.
 """
 
 from __future__ import annotations
@@ -61,37 +68,54 @@ def _token_ok(label: str) -> bool:
     return bool(label) and _BAD.search(label) is None
 
 
+def _text_poset(text: str) -> Poset:
+    """The poset of a relation text; see :func:`parse_text`.
+
+    One pass splits each line at '#' and '<' and strips the sides; the
+    distinct labels are then validated at once. A line is malformed
+    exactly when it leaves an empty or non-token label, so only then is
+    the text scanned again, line by line, for the first bad line's error.
+    """
+    pairs: list[tuple[str, str]] = []
+    singles: list[str] = []
+    for line in text.splitlines():
+        if "#" in line:
+            line = line.partition("#")[0]
+        a, lt, b = line.partition("<")
+        if lt:
+            pairs.append((a.strip(), b.strip()))
+        elif a := a.strip():
+            singles.append(a)
+    labels = set(singles)
+    labels.update(*pairs)  # each pair is an iterable of its two labels
+    if "" in labels or _BAD.search("".join(labels)):
+        _raise_first_fault(text)
+    # building the poset validates the relation and reduces to covers
+    return Poset.from_relations(labels, pairs)
+
+
+def _raise_first_fault(text: str) -> None:
+    """Raise the ParseError of the first malformed line of ``text``."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.partition("#")[0].strip()
+        a, lt, b = line.partition("<")
+        if "<" in b:
+            raise ParseError("expected a single relation 'A < B'", lineno)
+        if lt and not (_token_ok(a.strip()) and _token_ok(b.strip())):
+            raise ParseError(f"bad label in relation {line!r}", lineno)
+        if line and not lt and not _token_ok(line):
+            raise ParseError(
+                f"an element declaration must be a single token, "
+                f"got {line!r}", lineno)
+
+
 def parse_text(text: str) -> PosetDocument:
     """Parse the relation text format; see the module docstring.
 
     Raises ParseError with a line number on malformed lines and
     CycleDetected when the declared relation is cyclic.
     """
-    labels: dict[str, None] = {}  # first mention order; re-setting keeps it
-    pairs: list[tuple[str, str]] = []
-    bad = _BAD.search
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.partition("#")[0].strip()
-        if not line:
-            continue
-        a, lt, b = line.partition("<")
-        if lt:
-            if "<" in b:
-                raise ParseError("expected a single relation 'A < B'", lineno)
-            a = a.strip()
-            b = b.strip()
-            if not a or not b or bad(a) or bad(b):
-                raise ParseError(f"bad label in relation {line!r}", lineno)
-            labels[a] = labels[b] = None
-            pairs.append((a, b))
-        elif bad(line):
-            raise ParseError(
-                f"an element declaration must be a single token, "
-                f"got {line!r}", lineno)
-        else:
-            labels[line] = None
-    # building the poset validates the input and reduces to covers
-    return PosetDocument.from_poset(Poset.from_relations(labels, pairs))
+    return PosetDocument.from_poset(_text_poset(text))
 
 
 def emit_text(doc: PosetDocument) -> str:
@@ -122,11 +146,11 @@ def parse_json(text: str) -> PosetDocument:
         obj = json.loads(text)
     except ValueError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
-    return _document_from_json(obj)
+    return PosetDocument.from_poset(*_json_poset(obj))
 
 
-def _document_from_json(obj: object) -> PosetDocument:
-    """Validate a decoded JSON value against the schema and build its poset."""
+def _json_poset(obj: object) -> tuple[Poset, str | None]:
+    """Validate a decoded JSON value against the schema: (poset, name)."""
     if not isinstance(obj, dict):
         raise ParseError("the top level must be an object")
     extra = set(obj) - {"elements", "covers", "name"}
@@ -158,8 +182,7 @@ def _document_from_json(obj: object) -> PosetDocument:
     name = obj.get("name")
     if name is not None and not isinstance(name, str):
         raise ParseError("'name' must be a string")
-    return PosetDocument.from_poset(Poset.from_relations(elements, covers),
-                                    name=name)
+    return Poset.from_relations(elements, covers), name
 
 
 def emit_json(doc: PosetDocument) -> str:
@@ -200,13 +223,23 @@ def load_document(text: str) -> PosetDocument:
     that actually parses as JSON is treated as one. Valid JSON with a bad
     schema still fails as JSON.
     """
+    return PosetDocument.from_poset(*_load(text))
+
+
+def _load(text: str) -> tuple[Poset, str | None]:
+    """The poset and the name of a document in either format.
+
+    Read as :func:`load_document` reads it, but with no document and so no
+    label lists built; the command line loads through this.
+    """
     if text.lstrip().startswith("{"):
         try:
             obj = json.loads(text)
         except ValueError:
-            return parse_text(text)
-        return _document_from_json(obj)
-    return parse_text(text)
+            pass
+        else:
+            return _json_poset(obj)
+    return _text_poset(text), None
 
 
 def _dot_quote(label: str) -> str:

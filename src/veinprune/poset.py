@@ -129,14 +129,16 @@ class Poset:
         closes element i only after every successor j of i has closed, and
         an element without successors on arrival; ``_order`` keeps that
         closing order, successors first. Reaching an element still on the
-        walk's path raises CycleDetected with that cycle. When i closes,
-        ``redundant`` is the union of the ``above[j]``, and ``above[i]`` is
-        ``redundant`` plus the edges of i. A cover is an input edge (a
-        longer path puts an element between its ends), and an edge i -> j
-        is a cover unless j lies above another successor of i: the upper
-        covers are the edges outside ``redundant``. A second pass, in index
-        order, lists the lower covers ascending. ``_below`` is left to its
-        first reader.
+        walk's path raises CycleDetected with that cycle. While i is on the
+        path, ``above[i]`` gathers the ``above[j]`` of its successors as
+        they close; when i closes, that union is ``redundant``, and
+        ``above[i]`` becomes ``redundant`` plus the edges of i. A cover is
+        an input edge (a longer path puts an element between its ends), and
+        an edge i -> j is a cover unless j lies above another successor of
+        i: the upper covers are the edges outside ``redundant``, and an
+        element's only edge is always one. A second pass, in index order,
+        lists the lower covers ascending. ``_below`` is left to its first
+        reader.
         """
         n = len(labels)
         self._labels = tuple(labels)
@@ -148,44 +150,43 @@ class Poset:
         for root in range(n):
             if color[root]:
                 continue
-            if not adj[root]:
-                color[root] = 2
-                order.append(root)
-                continue
             color[root] = 1
-            stack = [[root, iter(adj[root]), 0]]  # [i, unvisited, redundant]
+            stack = [(root, iter(adj[root]))]  # (i, unvisited successors)
             while stack:
-                frame = stack[-1]
-                j = next(frame[1], None)
-                if j is None:
-                    i, _, redundant = stack.pop()
-                    succ = adj[i]
-                    edges = 0
-                    for j in succ:
-                        edges |= 1 << j
-                    above[i] = edges | redundant
-                    if edges & redundant:
-                        kept = edges & ~redundant
-                        ucov[i] = tuple(j for j in succ if kept >> j & 1)
+                i, unvisited = stack[-1]
+                for j in unvisited:
+                    if not color[j]:
+                        color[j] = 1
+                        stack.append((j, iter(adj[j])))
+                        break
+                    if color[j] == 2:
+                        above[i] |= above[j]
                     else:
-                        ucov[i] = tuple(succ)
+                        path = [f[0] for f in stack]
+                        cycle = path[path.index(j):] + [j]
+                        raise CycleDetected(
+                            tuple(self._labels[k] for k in cycle))
+                else:  # every successor of i has closed
+                    stack.pop()
+                    succ = adj[i]
+                    redundant = above[i]
+                    if len(succ) == 1:
+                        above[i] = redundant | 1 << succ[0]
+                        ucov[i] = (succ[0],)
+                    else:
+                        edges = 0
+                        for j in succ:
+                            edges |= 1 << j
+                        above[i] = edges | redundant
+                        if edges & redundant:
+                            kept = edges & ~redundant
+                            ucov[i] = tuple(j for j in succ if kept >> j & 1)
+                        else:
+                            ucov[i] = tuple(succ)
                     color[i] = 2
                     order.append(i)
                     if stack:
-                        stack[-1][2] |= above[i]
-                elif not color[j]:
-                    if adj[j]:
-                        color[j] = 1
-                        stack.append([j, iter(adj[j]), 0])
-                    else:
-                        color[j] = 2
-                        order.append(j)
-                elif color[j] == 2:
-                    frame[2] |= above[j]
-                else:
-                    path = [f[0] for f in stack]
-                    cycle = path[path.index(j):] + [j]
-                    raise CycleDetected(tuple(self._labels[k] for k in cycle))
+                        above[stack[-1][0]] |= above[i]
         self._above_masks = tuple(above)
         self._below_masks = None
         self._ucov = tuple(ucov)
@@ -266,28 +267,29 @@ class Poset:
         (with a witness cycle).
         """
         ordered = list(labels)
-        seen: set[str] = set()
-        for lab in ordered:
-            if lab in seen:
-                raise DuplicateLabel(f"duplicate label {lab!r}")
-            seen.add(lab)
+        if len(set(ordered)) != len(ordered):
+            seen: set[str] = set()
+            for lab in ordered:
+                if lab in seen:
+                    raise DuplicateLabel(f"duplicate label {lab!r}")
+                seen.add(lab)
         sorted_labels = tuple(sorted(ordered))
         index = {lab: i for i, lab in enumerate(sorted_labels)}
         adj: list[list[int]] = [[] for _ in sorted_labels]
         ascending = True  # pairs sorted by label need no sort here
-        for a, b in pairs:
-            ia = index.get(a)
-            ib = index.get(b)
-            if ia is None:
-                raise UnknownLabel(f"unknown label {a!r}")
-            if ib is None:
-                raise UnknownLabel(f"unknown label {b!r}")
-            if ia == ib:
-                raise CycleDetected((a, a))
-            row = adj[ia]
-            if row and row[-1] >= ib:
-                ascending = False
-            row.append(ib)
+        try:
+            for a, b in pairs:
+                ia = index[a]
+                ib = index[b]
+                if ia == ib:
+                    raise CycleDetected((a, a))
+                row = adj[ia]
+                if row and row[-1] >= ib:
+                    ascending = False
+                row.append(ib)
+        except KeyError:  # the first unknown label of the failing pair
+            raise UnknownLabel(
+                f"unknown label {a if a not in index else b!r}") from None
         if not ascending:
             adj = [sorted(set(row)) for row in adj]
         return cls(sorted_labels, adj)

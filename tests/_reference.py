@@ -201,3 +201,84 @@ def bridge_edges_by_degree(p):
                 and sum(1 for (a, b) in cov if b == y) == 1:
             out.add((x, y))
     return out
+
+
+class Fault(Exception):
+    """The first fault the reference finds in an input: the name of the
+    package's exception for it, its message and its line (or None)."""
+
+    def __init__(self, kind, message, line=None):
+        super().__init__(kind, message, line)
+        self.kind, self.message, self.line = kind, message, line
+
+    def agrees(self, exc, pairs):
+        """Whether the package's exception ``exc`` reports this fault: the
+        same type, message and line, or, for a cycle found by a walk, some
+        cycle of the declared ``pairs``."""
+        if (type(exc).__name__ != self.kind
+                or getattr(exc, "line", None) != self.line):
+            return False
+        if self.message is None:
+            cycle = exc.cycle
+            return (cycle[0] == cycle[-1]
+                    and set(zip(cycle, cycle[1:])) <= set(pairs))
+        prefix = "" if self.line is None else f"line {self.line}: "
+        return str(exc) == prefix + self.message
+
+
+def parse_relation_text(text):
+    """Labels and pairs of the relation text format, one line at a time.
+
+    The rules of the ``veinprune.formats`` docstring read literally: a
+    comment runs from '#' to the end of its line, a statement is one label
+    or two labels around one '<', and a label is a nonempty run of
+    characters none of which is whitespace, '<' or '#'. The first bad line
+    raises Fault("ParseError", ...) with the package's wording.
+    """
+    labels, pairs = [], []
+
+    def token(s):
+        return s != "" and not any(c.isspace() or c in "<#" for c in s)
+
+    for number, raw in enumerate(text.splitlines(), 1):
+        statement = raw.split("#", 1)[0].strip()
+        if statement == "":
+            continue
+        sides = statement.split("<")
+        if len(sides) > 2:
+            raise Fault("ParseError", "expected a single relation 'A < B'",
+                        number)
+        if len(sides) == 2:
+            a, b = (side.strip() for side in sides)
+            if not (token(a) and token(b)):
+                raise Fault("ParseError",
+                            f"bad label in relation {statement!r}", number)
+            labels += [a, b]
+            pairs.append((a, b))
+        elif token(statement):
+            labels.append(statement)
+        else:
+            raise Fault("ParseError", "an element declaration must be a "
+                        f"single token, got {statement!r}", number)
+    return labels, pairs
+
+
+def relation_fault(labels, pairs):
+    """Raise the first fault of a labelled relation, as it is read: a label
+    declared twice, then each pair in turn (an unknown lower label, an
+    unknown upper label, a label related to itself), then a cycle, whose
+    message names the cycle the package found and is not checked here."""
+    for k, x in enumerate(labels):
+        if x in labels[:k]:
+            raise Fault("DuplicateLabel", f"duplicate label {x!r}")
+    for a, b in pairs:
+        for x in (a, b):
+            if x not in labels:
+                raise Fault("UnknownLabel", f"unknown label {x!r}")
+        if a == b:
+            raise Fault("CycleDetected",
+                        f"relation contains a cycle: {a} < {a}")
+    try:
+        close(labels, pairs)
+    except ValueError:
+        raise Fault("CycleDetected", None) from None

@@ -159,8 +159,15 @@ def _all_pairs_lattice(base_size, seed):
 
 
 def test_downset_lattice_equals_the_all_pairs_build():
-    for base_size in range(1, 9):
+    # every subset of the base is tested here; the builder grows only the
+    # down-sets, from smaller ones
+    for base_size in range(9):
         for seed in range(10):
+            if base_size == 0:  # no base poset is drawn, by either build
+                for build in (downset_lattice, _all_pairs_lattice):
+                    with pytest.raises(InvalidSpec, match="got 0$"):
+                        build(0, seed)
+                continue
             p = downset_lattice(base_size, seed)
             q = _all_pairs_lattice(base_size, seed)
             assert p == q and p.labels == q.labels, (base_size, seed)

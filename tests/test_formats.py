@@ -3,8 +3,9 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import _reference as ref
 from veinprune import (
     CycleDetected,
     ParseError,
@@ -18,6 +19,8 @@ from veinprune import (
     parse_text,
     profiles,
 )
+from veinprune.errors import VeinpruneError
+from veinprune.formats import _load
 
 YP_TEXT = """\
 # Yp
@@ -149,6 +152,59 @@ def test_parse_text_error_messages(text, line, message):
         parse_text(text)
     assert exc.value.line == line
     assert str(exc.value) == f"line {line}: {message}"
+
+
+_LETTER = st.sampled_from("abc")
+_PAD = st.sampled_from(["", " ", "\t", "\u00a0"])  # stripped around labels
+_GOOD_LINE = st.one_of(
+    st.builds("{}{}{}<{}{}{}".format, _PAD, _LETTER, _PAD, _PAD, _LETTER,
+              _PAD),
+    st.builds("{}{}{}".format, _PAD, _LETTER, _PAD),
+    st.sampled_from(["", " ", "\u00a0", "# a b < c <", "#"]))
+_BAD_LINE = st.one_of(
+    st.builds("{} < {} < {}".format, _LETTER, _LETTER, _LETTER),  # two '<'
+    st.sampled_from([
+        "a << b", "<<", "a <", "< b", "<", " < # b",  # an empty side
+        "a b < c", "a < b\tc", "a b", "a\u00a0b", "a\u00a0b < c",
+    ]))
+
+
+@st.composite
+def relation_texts(draw):
+    """Relation texts line by line: relations (cycles and self-loops among
+    them), lone labels, blanks, comments and bad lines, with LF, CRLF, CR
+    and U+2028 line ends."""
+    lines = draw(st.lists(st.one_of(
+        _GOOD_LINE, _GOOD_LINE, _BAD_LINE,
+        st.builds("{}  # {}".format, _GOOD_LINE | _BAD_LINE, _BAD_LINE)),
+        max_size=8))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r", "\u2028"]),
+                         min_size=len(lines), max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+@settings(max_examples=300)
+@given(relation_texts())
+@example("a < b\nb < a\nc d\n")  # a cycle before a bad line
+@example("c d\na < b\nb < a\n")  # and after it
+@example("a < b\nb < a\nc < c\n")  # a self-loop after a cycle
+def test_parse_text_agrees_with_the_line_by_line_reference(text):
+    loaders = (lambda t: parse_text(t).to_poset(),
+               lambda t: load_document(t).to_poset(), lambda t: _load(t)[0])
+    pairs = []  # no cycle is checked on a text that fails to parse
+    try:
+        labels, pairs = ref.parse_relation_text(text)
+        ref.relation_fault(sorted(set(labels)), pairs)
+    except ref.Fault as fault:
+        for load in loaders:
+            with pytest.raises(VeinpruneError) as exc:
+                load(text)
+            assert fault.agrees(exc.value, pairs), (exc.value, fault)
+        return
+    want = ref.P(labels, pairs)
+    for load in loaders:
+        p = load(text)
+        assert set(p.labels) == want.E and set(p.relations()) == want.R
 
 
 @pytest.mark.parametrize("text, message", [

@@ -4,8 +4,9 @@ import string
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import _reference as ref
 import veinprune
 from veinprune import (
     CycleDetected,
@@ -17,6 +18,7 @@ from veinprune import (
     UnknownLabel,
     oracle,
 )
+from veinprune.errors import VeinpruneError
 
 
 def test_from_relations_closure_and_reduction():
@@ -24,6 +26,31 @@ def test_from_relations_closure_and_reduction():
     p = Poset.from_relations("abc", [("a", "b"), ("b", "c"), ("a", "c")])
     assert p.covers == (("a", "b"), ("b", "c"))
     assert set(p.relations()) == {("a", "b"), ("a", "c"), ("b", "c")}
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from("abc"), max_size=5),
+       st.lists(st.tuples(st.sampled_from("abcz"), st.sampled_from("abcz")),
+                max_size=5))
+@example(["a", "b", "a", "b"], [("z", "a")])  # a duplicate first
+@example(["a", "b"], [("a", "a"), ("z", "b")])  # a self-loop first
+@example(["a", "b"], [("z", "a"), ("a", "a")])  # an unknown label first
+@example(["a", "b"], [("a", "z"), ("y", "b")])  # unknown upper label first
+@example(["a", "b"], [("y", "z")])  # both unknown: the lower one
+@example(["a", "b", "c"], [("a", "b"), ("b", "a"), ("c", "c")])
+def test_from_relations_raises_the_first_fault(labels, pairs):
+    # duplicate labels, unknown labels on either side, self-loops and
+    # cycles, in every order, against the reference's one pair at a time
+    try:
+        ref.relation_fault(labels, pairs)
+    except ref.Fault as fault:
+        with pytest.raises(VeinpruneError) as exc:
+            Poset.from_relations(labels, pairs)
+        assert fault.agrees(exc.value, pairs), (exc.value, fault)
+        return
+    p = Poset.from_relations(labels, pairs)
+    want = ref.P(labels, pairs)
+    assert set(p.labels) == want.E and set(p.relations()) == want.R
 
 
 @given(st.data())

@@ -12,6 +12,7 @@ Bounds may only be tightened.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import time
@@ -525,11 +526,17 @@ def sparse_case(tmp_path_factory):
     text = "".join(f"{labels[i]} < {labels[j]}\n" for i, j in pairs)
     path = tmp_path_factory.mktemp("sparse") / "sparse10000.txt"
     path.write_text(text + "".join(f"{lab}\n" for lab in labels))
+    # its JSON twin: the same elements, and the same pairs as covers
+    twin = path.with_suffix(".json")
+    twin.write_text(json.dumps({
+        "elements": labels,
+        "covers": [[labels[i], labels[j]] for i, j in pairs]}, indent=2))
     relations, covers, bridges = _closure_counts(n, pairs)
     named = [{(labels[i], labels[j]) for i, j in edges}
              for edges in (covers, bridges)]
-    return {"path": str(path), "n": n, "labels": labels,
-            "relations": relations, "covers": named[0], "bridges": named[1]}
+    return {"path": str(path), "json_path": str(twin), "n": n,
+            "labels": labels, "relations": relations, "covers": named[0],
+            "bridges": named[1]}
 
 
 def test_sparse_pairs_is_seeded_and_sparse():
@@ -568,6 +575,24 @@ def test_sparse_random_poset(sparse_case, capsys, command):
     else:
         assert lines == ["fixpoint after 1 iteration"]
     assert elapsed < SPARSE_BOUNDS[command]
+
+
+# about 5x the slowest of three loads on a 2-vCPU Xeon host (Python 3.11):
+# 0.087 s for the text and 0.126 s for the JSON twin, whose pairs are
+# sorted on loading
+LOAD_BOUNDS = {"path": 0.45, "json_path": 0.6}
+
+
+@pytest.mark.parametrize("key", sorted(LOAD_BOUNDS))
+def test_sparse_random_poset_load(sparse_case, key):
+    with open(sparse_case[key], encoding="utf-8") as fh:
+        text = fh.read()
+    started = time.perf_counter()
+    doc = load_document(text)
+    elapsed = time.perf_counter() - started
+    assert doc.elements == sparse_case["labels"]
+    assert set(doc.covers) == sparse_case["covers"]
+    assert elapsed < LOAD_BOUNDS[key]
 
 
 def test_sparse_random_poset_prune_memory(sparse_case, capsys):
