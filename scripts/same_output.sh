@@ -262,11 +262,12 @@ done
 same check --seed 3 --count 60 --max-size 8
 # the corpora the benchmark's check ops draw: the defaults (--count 100
 # --max-size 10), whose posets above 8 elements skip the limit-8 checks,
-# and sparse_large's --count 30
+# sparse_large's --count 30 and deep_shapes' --count 10 --max-size 6
 for seed in 1 2 3; do
   same check --seed "$seed"
 done
 same check --count 30 --max-size 10
+same check --count 10 --max-size 6
 
 
 # library SCRIPT FILES...: a Python script run on input files at REV and

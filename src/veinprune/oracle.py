@@ -21,6 +21,14 @@ chains, which come from the poset's one memoized walk of its cover paths
   and its greatest element, since any z with x <= z <= y for members x
   and y lies in that interval (:func:`_is_vein_path`).
 
+The tables are read once per batch of tests, not once per test: a walk
+over many paths (the strict veins, every chain) or one witness search
+reads ``_above``, ``_below`` and the memoized maximal chain or strict
+vein masks once, and hands them to :func:`_irreducible`,
+:func:`_is_vein_path` and :func:`_covering_form`, which read nothing
+themselves. A public function reads them once per call. The suite's
+checks call these index-level pieces directly, one poset at a time.
+
 The exhaustive cross-checks live here too: every chain and the
 irreducible-chain family, the covering form of chain irreducibility, the
 subfamily form of the connectivity axiom, and the filter definition and
@@ -30,11 +38,13 @@ completeness by a route of its own. The module imports only
 :mod:`veinprune.poset`, :mod:`veinprune.connectivity` and
 :mod:`veinprune.errors`, so it never depends on the route it checks.
 
-The maximal chains of an interval are walked in one place,
-:func:`_interval_paths`, which the witness search and
-:func:`maximal_chains_in_interval` read. That function and
-:func:`induced_subposet` have no reader in the fast route, so they live
-here rather than on :class:`Poset`.
+The maximal chains of an interval are the cover paths from its least
+element, inside its mask, that end at its greatest.
+:func:`_interval_paths` lists them for :func:`maximal_chains_in_interval`
+and the suite; the witness search, :func:`_clean_chain_ix`, walks them
+itself, as it stops at the first one without a strict vein. That
+function and :func:`induced_subposet` have no reader in the fast route,
+so they live here rather than on :class:`Poset`.
 
 Each walk below starts from the elements in index order and follows
 ascending successor lists, in preorder, so it lists its index paths in
@@ -49,7 +59,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from .connectivity import SetFamily
 from .errors import (EmptySet, InternalOrderViolation, NotAChain,
                      NotComparable, NotConditionallyComplete, TooLarge)
-from .poset import Poset, _bits, _dfs_paths, _memoized
+from .poset import Poset, _bits, _dfs_paths, _interval, _memoized
 
 
 def _mask_of(path: Iterable[int]) -> int:
@@ -70,20 +80,23 @@ def _maximal_chain_masks(p: Poset) -> tuple[int, ...]:
     return tuple(map(_mask_of, p._maximal_chain_paths()))
 
 
-def _irreducible(p: Poset, cm: int) -> bool:
-    """True iff every maximal chain meeting the chain mask ``cm`` contains it."""
-    for m in _maximal_chain_masks(p):
+def _irreducible(masks: Sequence[int], cm: int) -> bool:
+    """True iff every maximal chain mask in ``masks`` that meets the chain
+    mask ``cm`` contains it."""
+    for m in masks:
         if cm & m and cm & ~m:
             return False
     return True
 
 
-def _is_vein_path(p: Poset, path: Sequence[int]) -> bool:
+def _is_vein_path(above: Sequence[int], below: Sequence[int],
+                  masks: Sequence[int], path: Sequence[int]) -> bool:
     """True iff the chain ``path``, ascending indices, is a convex
-    irreducible chain."""
+    irreducible chain of the poset with the order tables ``above`` and
+    ``below`` and the maximal chain masks ``masks``."""
     cm = _mask_of(path)
-    return (p._interval_mask(path[0], path[-1]) == cm
-            and _irreducible(p, cm))
+    return (_interval(above, below, path[0], path[-1]) == cm
+            and _irreducible(masks, cm))
 
 
 def is_irreducible_chain(p: Poset, subset: Iterable[str]) -> bool:
@@ -91,7 +104,7 @@ def is_irreducible_chain(p: Poset, subset: Iterable[str]) -> bool:
 
     The subset must be a nonempty chain (NotAChain / EmptySet otherwise).
     """
-    return _irreducible(p, _mask_of(p._chain_ix(subset)))
+    return _irreducible(_maximal_chain_masks(p), _mask_of(p._chain_ix(subset)))
 
 
 def is_vein(p: Poset, subset: Iterable[str]) -> bool:
@@ -103,15 +116,17 @@ def is_vein(p: Poset, subset: Iterable[str]) -> bool:
         path = p._chain_ix(members)
     except NotAChain:
         return False
-    return _is_vein_path(p, path)
+    return _is_vein_path(p._above, p._below, _maximal_chain_masks(p), path)
 
 
 @_memoized
 def _strict_vein_paths(p: Poset) -> tuple[tuple[int, ...], ...]:
-    ucov = p._ucov
+    ucov, above, below = p._ucov, p._above, p._below
+    masks = _maximal_chain_masks(p)
     return tuple(tuple(path) for i in range(len(p))
                  for path in _dfs_paths(i, ucov)
-                 if len(path) > 1 and _is_vein_path(p, path))
+                 if len(path) > 1
+                 and _is_vein_path(above, below, masks, path))
 
 
 def strict_veins(p: Poset) -> list[tuple[str, ...]]:
@@ -128,14 +143,16 @@ def _strict_vein_masks(p: Poset) -> tuple[int, ...]:
     return tuple(map(_mask_of, _strict_vein_paths(p)))
 
 
-def _interval_paths(p: Poset, ix: int, iy: int) -> Iterator[list[int]]:
+def _interval_paths(ucov: Sequence[Sequence[int]], ix: int, iy: int,
+                    within: int) -> Iterator[list[int]]:
     """The maximal chains of [x, y] as index paths, in lexicographic order.
 
-    Intervals are convex, so these are the cover paths from x to y inside
-    the interval mask (none unless x <= y). The same list is yielded
-    every time; copy what you keep.
+    Intervals are convex, so these are the cover paths ``ucov`` from x to
+    y inside the interval mask ``within`` (none unless x <= y). The
+    caller reads the tables, once per batch of intervals. The same list
+    is yielded every time; copy what you keep.
     """
-    for path in _dfs_paths(ix, p._ucov, p._interval_mask(ix, iy)):
+    for path in _dfs_paths(ix, ucov, within):
         if path[-1] == iy:
             yield path
 
@@ -150,22 +167,30 @@ def maximal_chains_in_interval(p: Poset, x: str,
     ix, iy = p._i(x), p._i(y)
     if ix != iy and not p._above[ix] >> iy & 1:
         raise NotComparable(f"{x!r} <= {y!r} does not hold")
-    return _labelled(p, _interval_paths(p, ix, iy))
+    return _labelled(p, _interval_paths(p._ucov, ix, iy,
+                                        p._interval_mask(ix, iy)))
 
 
 def _clean_chain_ix(p: Poset, ix: int, iy: int) -> tuple[int, ...] | None:
     """Lexicographically least maximal chain of [x, y] with no strict vein.
 
-    None unless x < y. The chains of [x, y] are walked up to the first
-    one that contains no strict vein.
+    None unless x < y. The cover paths from x inside [x, y] are walked up
+    to the first one that ends at y and contains no strict vein. Each
+    table, and the vein masks, is read once per call.
     """
-    if not p._above[ix] >> iy & 1:
+    above = p._above
+    if not above[ix] >> iy & 1:
         return None
     veins = _strict_vein_masks(p)
-    for path in _interval_paths(p, ix, iy):
-        cm = _mask_of(path)
-        if all(v & ~cm for v in veins):
-            return tuple(path)
+    within = _interval(above, p._below, ix, iy)
+    for path in _dfs_paths(ix, p._ucov, within):
+        if path[-1] == iy:
+            cm = _mask_of(path)
+            for v in veins:
+                if not v & ~cm:
+                    break
+            else:
+                return tuple(path)
     return None
 
 
@@ -236,8 +261,14 @@ def check_covering_characterization(p: Poset, subset: Iterable[str],
     cross-check. TooLarge is raised when the poset has more maximal
     chains than ``max_maximal_chains``.
     """
-    cm = _mask_of(p._chain_ix(subset))
-    masks = _maximal_chain_masks(p)
+    return _covering_form(_maximal_chain_masks(p),
+                          _mask_of(p._chain_ix(subset)), max_maximal_chains)
+
+
+def _covering_form(masks: Sequence[int], cm: int,
+                   max_maximal_chains: int = 16) -> bool:
+    """:func:`check_covering_characterization` on the chain mask ``cm``,
+    against the maximal chain masks ``masks``."""
     if len(masks) > max_maximal_chains:
         raise TooLarge(
             f"{len(masks)} maximal chains exceed the exhaustive bound "
@@ -276,8 +307,9 @@ def all_chains(p: Poset, max_elements: int = 16) -> list[tuple[str, ...]]:
 @_memoized
 def _irreducible_chain_paths(p: Poset, max_elements: int
                              ) -> tuple[tuple[int, ...], ...]:
+    masks = _maximal_chain_masks(p)
     return tuple(c for c in _chain_paths(p, max_elements)
-                 if _irreducible(p, _mask_of(c)))
+                 if _irreducible(masks, _mask_of(c)))
 
 
 def irreducible_chain_family(p: Poset, max_elements: int = 16) -> SetFamily:

@@ -72,6 +72,14 @@ def _dfs_paths(start: int, succ: Sequence[Iterable[int]],
             pending.append(iter(succ[j]))
 
 
+def _interval(above: Sequence[int], below: Sequence[int], ix: int,
+              iy: int) -> int:
+    """The mask of the interval [ix, iy], from the order tables ``above``
+    and ``below``: a caller that asks for many intervals reads each table
+    once."""
+    return (above[ix] | 1 << ix) & (below[iy] | 1 << iy)
+
+
 def _lower_covers(ucov: Sequence[Sequence[int]]
                   ) -> tuple[tuple[int, ...], ...]:
     """The ascending lower cover tuples of the upper cover tuples ``ucov``."""
@@ -123,6 +131,11 @@ class Poset:
                  "_ucov", "_dcov", "_order", "_memo")
 
     def __init__(self, labels: tuple[str, ...], adj: Sequence[Sequence[int]]):
+        self._labels = tuple(labels)
+        self._index = {lab: i for i, lab in enumerate(self._labels)}
+        self._close(adj)
+
+    def _close(self, adj: Sequence[Sequence[int]]) -> None:
         """Close ``adj`` into the order in one walk of O(n + edges) mask ops.
 
         A non-recursive depth-first walk, successors in ascending order,
@@ -138,11 +151,9 @@ class Poset:
         i: the upper covers are the edges outside ``redundant``, and an
         element's only edge is always one. A second pass, in index order,
         lists the lower covers ascending. ``_below`` is left to its first
-        reader.
+        reader. ``_labels`` and ``_index`` are set before the call.
         """
-        n = len(labels)
-        self._labels = tuple(labels)
-        self._index = {lab: i for i, lab in enumerate(self._labels)}
+        n = len(self._labels)
         above = [0] * n
         ucov: list[tuple[int, ...]] = [()] * n
         color = [0] * n  # 0 new, 1 on the walk's path, 2 closed
@@ -292,7 +303,11 @@ class Poset:
                 f"unknown label {a if a not in index else b!r}") from None
         if not ascending:
             adj = [sorted(set(row)) for row in adj]
-        return cls(sorted_labels, adj)
+        # the index is built once, here, and handed to the closure walk
+        p = cls.__new__(cls)
+        p._labels, p._index = sorted_labels, index
+        p._close(adj)
+        return p
 
     # ------------------------------------------------------------------
     # basic views
@@ -397,7 +412,7 @@ class Poset:
         return frozenset(self._labels_of(self._interval_mask(ix, iy)))
 
     def _interval_mask(self, ix: int, iy: int) -> int:
-        return (self._above[ix] | 1 << ix) & (self._below[iy] | 1 << iy)
+        return _interval(self._above, self._below, ix, iy)
 
     # ------------------------------------------------------------------
     # chains and convexity

@@ -122,8 +122,20 @@ def _pruned(p: Poset) -> Poset:
 
 
 def pruning_leq(p: Poset, x: str, y: str) -> bool:
-    """True iff x <=* y in the pruning order."""
-    return _pruned(p).leq(x, y)
+    """True iff x <=* y in the pruning order.
+
+    One memo read for the pruned poset (:func:`_pruned`, inlined), two
+    index reads and one read of its order table.
+    """
+    q = _built_pruned(p)
+    if q is None:
+        q = p
+    index = p._index
+    try:
+        ix, iy = index[x], index[y]
+    except KeyError as missing:
+        raise UnknownLabel(f"unknown label {missing.args[0]!r}") from None
+    return ix == iy or q._above[ix] >> iy & 1 == 1
 
 
 def pruning_witness(p: Poset, x: str, y: str) -> PruneWitness | None:
@@ -146,13 +158,15 @@ def pruning_witness(p: Poset, x: str, y: str) -> PruneWitness | None:
     same chain, because the reachability mask rejects exactly the branches
     on which that search would fail. The walk tests each upper cover of
     the chain's elements once; everything else a query does is constant:
-    one memo read for q and two index reads.
+    one memo read for q and two index reads, as in :func:`pruning_leq`.
 
     The witness is a :class:`PruneWitness` tuple record: it unpacks as
     ``x, y, chain`` and equals ``(x, y, chain)``; ``dataclasses.asdict``
     and ``dataclasses.replace`` do not apply to it.
     """
-    q = _pruned(p)
+    q = _built_pruned(p)
+    if q is None:
+        q = p
     index = p._index
     try:
         ix, iy = index[x], index[y]

@@ -22,6 +22,18 @@ which must not depend on the route it checks; so does
 :func:`vein_family`, the fast route's veins as a set family for the
 connectivity facts. The acceptance tests run these same check bodies on
 their own corpora.
+
+The checks that ask one question per pair or per chain work on indices.
+Each reads the tables it needs once per poset: ``_above`` (whose rows
+give the pairs x < y), ``_below``, ``_ucov``, the fast route's pruned
+poset and the oracle's memoized masks. Labels are built only for the
+public functions these checks test (:func:`pruning.pruning_leq`,
+:func:`pruning.pruning_witness` and the two lemma checks) and for the
+detail strings. Each lemma check maps its labels to indices once and
+reads the pruned poset's order table once per call.
+``pruning_modes_agree`` compares the fast route's public queries, asked
+once per ordered pair, with the oracle's witness search
+(:func:`oracle._clean_chain_ix`), asked by index for each pair x < y.
 """
 
 from __future__ import annotations
@@ -31,13 +43,13 @@ import inspect
 import random
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 
 from . import families, formats, oracle, pruning, veins
 from .connectivity import SetFamily
 from .errors import PreconditionViolated, TooLarge
 from .irreducibles import is_irreducible, preservation_report
-from .poset import Poset
+from .poset import Poset, _bits, _interval
 
 
 @dataclass(frozen=True)
@@ -167,22 +179,32 @@ def _vein_modes_agree(p: Poset) -> str | None:
 
 @_check
 def _pruning_modes_agree(p: Poset):
-    # one instance per ordered pair, up to the poset's first disagreement
-    for x, y in product(p.labels, repeat=2):
-        fast = pruning.pruning_leq(p, x, y)
-        wo = oracle.clean_chain(p, x, y)
-        slow = x == y or wo is not None
-        if fast != slow:
-            yield (f"modes disagree on ({x!r}, {y!r}): "
-                   f"fast={fast} oracle={slow}")
-            return
-        w = pruning.pruning_witness(p, x, y)
-        wf = w.chain if w else None
-        if wf != wo:
-            yield (f"witnesses disagree on ({x!r}, {y!r}): "
-                   f"fast={wf} oracle={wo}")
-            return
-        yield None
+    # one instance per ordered pair, up to the poset's first disagreement;
+    # the fast side is asked by label through its public queries, the
+    # oracle only for the pairs x < y, as any other has no witness
+    labels = p._labels
+    leq, witness = pruning.pruning_leq, pruning.pruning_witness
+    for ix, up in enumerate(p._above):
+        x = labels[ix]
+        for iy, y in enumerate(labels):
+            fast = leq(p, x, y)
+            wo = None
+            if up >> iy & 1:
+                seq = oracle._clean_chain_ix(p, ix, iy)
+                if seq is not None:
+                    wo = tuple(map(labels.__getitem__, seq))
+            slow = ix == iy or wo is not None
+            if fast != slow:
+                yield (f"modes disagree on ({x!r}, {y!r}): "
+                       f"fast={fast} oracle={slow}")
+                return
+            w = witness(p, x, y)
+            wf = w.chain if w else None
+            if wf != wo:
+                yield (f"witnesses disagree on ({x!r}, {y!r}): "
+                       f"fast={wf} oracle={wo}")
+                return
+            yield None
 
 
 def star_chain_check(p: Poset, x: str, y: str, chain: Iterable[str]) -> bool:
@@ -192,23 +214,32 @@ def star_chain_check(p: Poset, x: str, y: str, chain: Iterable[str]) -> bool:
     strict vein of the ambient poset (PreconditionViolated otherwise).
     Returns True iff every pair of its elements is pruning-comparable.
     """
-    seq = p.as_chain(chain)
+    seq = p._chain_ix(chain)
     ix, iy = p._i(x), p._i(y)
-    if seq[0] != x or seq[-1] != y:
+    if seq[0] != ix or seq[-1] != iy:
         raise PreconditionViolated(
             f"the chain must run from {x!r} to {y!r}")
+    ucov, labels = p._ucov, p._labels
+    bridged = False
     for a, b in zip(seq, seq[1:]):
-        if p._i(b) not in p._ucov[p._i(a)]:
+        if b not in ucov[a]:
             raise PreconditionViolated(
-                f"{a!r} < {b!r} is not a cover, so the chain is not "
-                "maximal in the interval")
-    # a cover path contains a strict vein iff it crosses a bridge edge
-    if any(veins._is_bridge(p, p._i(a), p._i(b))
-           for a, b in zip(seq, seq[1:])):
+                f"{labels[a]!r} < {labels[b]!r} is not a cover, so the "
+                "chain is not maximal in the interval")
+        # a cover path contains a strict vein iff it crosses a bridge edge
+        bridged = bridged or veins._is_bridge(p, a, b)
+    if bridged:
         raise PreconditionViolated(
             "the chain contains a strict vein of the ambient poset")
-    return all(pruning.pruning_leq(p, seq[i], seq[j])
-               for i in range(len(seq)) for j in range(i + 1, len(seq)))
+    # every pair is pruning-comparable iff each element lies below, in the
+    # pruned order, all those after it; the suffix masks go top down
+    star = pruning._pruned(p)._above
+    later = 0
+    for a in reversed(seq):
+        if star[a] & later != later:
+            return False
+        later |= 1 << a
+    return True
 
 
 def cover_inheritance_check(p: Poset, x: str, y: str) -> bool:
@@ -219,15 +250,17 @@ def cover_inheritance_check(p: Poset, x: str, y: str) -> bool:
     c <* y for every c covered by y inside [x, y].
     """
     ix, iy = p._i(x), p._i(y)
-    if ix == iy or not pruning.pruning_leq(p, x, y):
+    star = pruning._pruned(p)._above
+    up = star[ix]
+    if ix == iy or not up >> iy & 1:
         raise PreconditionViolated(
             f"{x!r} <* {y!r} with distinct endpoints is required")
     mask = p._interval_mask(ix, iy)
     for c in p._ucov[ix]:
-        if mask >> c & 1 and not pruning.pruning_leq(p, x, p._labels[c]):
+        if mask >> c & 1 and not up >> c & 1:
             return False
     for c in p._dcov[iy]:
-        if mask >> c & 1 and not pruning.pruning_leq(p, p._labels[c], y):
+        if mask >> c & 1 and not star[c] >> iy & 1:
             return False
     return True
 
@@ -235,20 +268,29 @@ def cover_inheritance_check(p: Poset, x: str, y: str) -> bool:
 @_check
 def _star_chain_lemma(p: Poset):
     # one instance per maximal chain of an interval meeting the precondition
-    for x, y in p.relations():
-        for m in oracle.maximal_chains_in_interval(p, x, y):
-            try:
-                ok = star_chain_check(p, x, y, m)
-            except PreconditionViolated:
-                continue
-            yield None if ok else f"star-chain fails on ({x!r}, {y!r}) via {m}"
+    labels, above, below, ucov = p._labels, p._above, p._below, p._ucov
+    for ix, up in enumerate(above):
+        x = labels[ix]
+        for iy in _bits(up):
+            y = labels[iy]
+            within = _interval(above, below, ix, iy)
+            for path in oracle._interval_paths(ucov, ix, iy, within):
+                m = tuple(map(labels.__getitem__, path))
+                try:
+                    ok = star_chain_check(p, x, y, m)
+                except PreconditionViolated:
+                    continue
+                yield (None if ok else
+                       f"star-chain fails on ({x!r}, {y!r}) via {m}")
 
 
 @_check
 def _cover_inheritance_lemma(p: Poset):
     # one instance per strict pair of the pruning order
-    for x, y in p.relations():
-        if pruning.pruning_leq(p, x, y):
+    labels, star = p._labels, pruning._pruned(p)._above
+    for ix, up in enumerate(p._above):
+        for iy in _bits(up & star[ix]):
+            x, y = labels[ix], labels[iy]
             yield (None if cover_inheritance_check(p, x, y)
                    else f"cover inheritance fails on ({x!r}, {y!r})")
 
@@ -305,10 +347,13 @@ def _irreducible_chain_connectivity(p: Poset) -> str | None:
 @_check
 def _covering_characterization(p: Poset) -> str | None:
     _at_most(p, 7)
-    for c in oracle.all_chains(p):
-        direct = oracle.is_irreducible_chain(p, c)
-        covered = oracle.check_covering_characterization(p, c)
+    masks = oracle._maximal_chain_masks(p)
+    for path in oracle._chain_paths(p, 16):
+        cm = oracle._mask_of(path)
+        direct = oracle._irreducible(masks, cm)
+        covered = oracle._covering_form(masks, cm)
         if direct != covered:
+            c = tuple(p._labels[k] for k in path)
             return f"chain {c}: direct={direct} covering={covered}"
     return None
 

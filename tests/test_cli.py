@@ -250,6 +250,124 @@ def test_check_fails_when_the_cover_test_calls_nothing_complete(monkeypatch,
         "conditionally complete, the cover test does not" in err
 
 
+# ``check --seed 3 --count 20 --max-size 6`` on the real code
+CHECK_SEED_3 = [
+    "ok   closure_roundtrip (25 checked)",
+    "ok   serialization_roundtrip (25 checked)",
+    "ok   pruned_partial_order (25 checked)",
+    "ok   prune_opposite_commutes (25 checked)",
+    "ok   iterate_reaches_fixpoint (25 checked)",
+    "ok   vein_modes_agree (25 checked)",
+    "ok   pruning_modes_agree (488 checked)",
+    "ok   star_chain_lemma (64 checked)",
+    "ok   cover_inheritance_lemma (53 checked)",
+    "ok   vein_connectivity (25 checked)",
+    "ok   irreducible_chain_connectivity (25 checked)",
+    "ok   covering_characterization (24 checked)",
+    "ok   vein_restriction (75 checked)",
+    "ok   irreducible_preservation (25 checked)",
+    "ok   meet_equivalence (25 checked)",
+]
+
+
+def _keep_bridges(monkeypatch):
+    monkeypatch.setattr(veinprune.pruning, "_non_bridge_covers",
+                        lambda p: list(p._ucov))
+
+
+def _highest_witness(monkeypatch):
+    # the witness walk, stepping to the highest reachable cover
+    def witness(p, x, y):
+        q = veinprune.pruning._pruned(p)
+        ix, iy = p._index[x], p._index[y]
+        below = q._below[iy]
+        if not below >> ix & 1:
+            return None
+        chain, i = [x], ix
+        while i != iy:
+            i = max(j for j in q._ucov[i] if j == iy or below >> j & 1)
+            chain.append(q._labels[i])
+        return veinprune.pruning.PruneWitness(x, y, tuple(chain))
+
+    monkeypatch.setattr(veinprune.pruning, "pruning_witness", witness)
+
+
+def _swapped_leq(monkeypatch):
+    real = veinprune.pruning.pruning_leq
+    monkeypatch.setattr(veinprune.pruning, "pruning_leq",
+                        lambda p, x, y: real(p, y, x))
+
+
+def _no_veins(monkeypatch):
+    monkeypatch.setattr(veinprune.oracle, "_strict_vein_masks", lambda p: ())
+
+
+def _always_irreducible(monkeypatch):
+    monkeypatch.setattr(veinprune.oracle, "_irreducible", lambda *args: True)
+
+
+def _inverted_star_chain(monkeypatch):
+    real = veinprune.suite.star_chain_check
+    monkeypatch.setattr(veinprune.suite, "star_chain_check",
+                        lambda *args: not real(*args))
+
+
+# the lines of CHECK_SEED_3 that each mutant changes
+MUTANT_LINES = {
+    _keep_bridges: [
+        "FAIL pruned_partial_order (25 checked, 13 violations)",
+        "FAIL pruning_modes_agree (294 checked, 13 violations)",
+        "ok   cover_inheritance_lemma (85 checked)"],
+    _highest_witness: [
+        "FAIL pruning_modes_agree (449 checked, 1 violations)"],
+    # the lemma checks read the pruned order table, not pruning_leq
+    _swapped_leq: [
+        "FAIL pruning_modes_agree (186 checked, 13 violations)"],
+    _no_veins: [
+        "FAIL pruning_modes_agree (294 checked, 13 violations)"],
+    _always_irreducible: [
+        "FAIL vein_modes_agree (25 checked, 13 violations)",
+        "FAIL pruning_modes_agree (193 checked, 13 violations)",
+        "FAIL irreducible_chain_connectivity (25 checked, 13 violations)",
+        "FAIL covering_characterization (24 checked, 12 violations)"],
+    _inverted_star_chain: [
+        "FAIL star_chain_lemma (64 checked, 64 violations)"],
+}
+
+
+@pytest.mark.parametrize("mutant", MUTANT_LINES,
+                         ids=lambda mutant: mutant.__name__.lstrip("_"))
+def test_check_catches_each_mutant(mutant, monkeypatch, capsys):
+    # each mutant fails check, and every line it does not change is the
+    # real code's
+    mutant(monkeypatch)
+    assert cli(["check", "--seed", "3", "--count", "20",
+                "--max-size", "6"]) == 1
+    by_check = {line.split()[1]: line for line in MUTANT_LINES[mutant]}
+    assert capsys.readouterr().out.splitlines() == [
+        by_check.get(line.split()[1], line) for line in CHECK_SEED_3]
+
+
+def test_check_reads_each_order_table_once_per_batch(monkeypatch):
+    # the pair and chain checks read the order tables once per poset, and
+    # the fast route's public queries once per call; a count, unlike a
+    # time, moves on any host when a check goes back to per-query reads
+    reads = {"_above": 0, "_below": 0}
+
+    def counting(name):
+        table = getattr(veinprune.Poset, name).fget
+
+        def read(p):
+            reads[name] += 1
+            return table(p)
+        return property(read)
+
+    for name in reads:
+        monkeypatch.setattr(veinprune.Poset, name, counting(name))
+    assert veinprune.suite.run_suite(seed=7).ok
+    assert reads["_above"] <= 8761 and reads["_below"] <= 6380, reads
+
+
 @pytest.mark.parametrize("argv", [["--max-size", "0"], ["--count", "-1"]])
 def test_check_rejects_bad_sizes(argv, capsys):
     assert cli(["check"] + argv) == 2
