@@ -88,6 +88,10 @@ for kind in "${kinds[@]}"; do
   done
 done
 same gen fence --size 6
+# Boolean lattices of the sizes between those of B3, B4, B8 and B10
+for size in 1 2 5 9; do
+  same gen boolean --size "$size"
+done
 same gen random --size 7 --seed 5 --edge-prob 0.6
 same gen random --seed 5
 same gen random --edge-prob 0.6

@@ -115,13 +115,12 @@ def _cmd_veins(args: argparse.Namespace) -> int:
 def _cmd_prune(args: argparse.Namespace) -> int:
     p, name = _load(args.file)
     rep = pruning.prune(p, mode=args.mode)
-    out_doc = formats.PosetDocument.from_poset(rep.pruned, name=name)
-    if args.format == "text":
-        payload = formats.emit_text(out_doc)
-    elif args.format == "json":
-        payload = formats.emit_json(out_doc)
-    else:
+    if args.format == "dot":
         payload = formats.emit_dot(rep.pruned, profiles(rep.pruned))
+    else:  # the document is built only for the formats that read it
+        doc = formats.PosetDocument.from_poset(rep.pruned, name=name)
+        payload = (formats.emit_json if args.format == "json"
+                   else formats.emit_text)(doc)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)

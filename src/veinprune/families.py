@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import random
 import string
-from itertools import combinations
 
 from .errors import InvalidSpec
 from .poset import Poset, _bits
@@ -74,26 +73,19 @@ def fence_poset(n: int) -> Poset:
 
 
 def boolean_poset(k: int) -> Poset:
-    """The power set of {1, ..., k} ordered by inclusion."""
+    """The power set of {1, ..., k} ordered by inclusion.
+
+    Subset m, a mask below 2**k, holds i + 1 for each set bit i, and is
+    covered by m with one more bit set.
+    """
     _check_size(k)
     if k > _MAX_BOOLEAN:
         raise InvalidSpec(f"boolean size {k} exceeds the cap {_MAX_BOOLEAN}")
-
-    def label(items: tuple[int, ...]) -> str:
-        return "{" + ",".join(str(i) for i in items) + "}"
-
-    subsets = []
-    for size in range(k + 1):
-        subsets.extend(combinations(range(1, k + 1), size))
-    labels = [label(s) for s in subsets]
-    pairs = []
-    for s in subsets:
-        present = set(s)
-        for extra in range(1, k + 1):
-            if extra not in present:
-                bigger = tuple(sorted(present | {extra}))
-                pairs.append((label(s), label(bigger)))
-    return Poset.from_relations(labels, pairs)
+    labels = ["{" + ",".join(str(i + 1) for i in _bits(m)) + "}"
+              for m in range(1 << k)]
+    return Poset.from_relations(labels, [
+        (labels[m], labels[m | 1 << i])
+        for m in range(1 << k) for i in range(k) if not m >> i & 1])
 
 
 def random_poset(size: int, seed: int = 0, edge_prob: float = 0.3) -> Poset:

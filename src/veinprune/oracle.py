@@ -59,7 +59,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from .connectivity import SetFamily
 from .errors import (EmptySet, InternalOrderViolation, NotAChain,
                      NotComparable, NotConditionallyComplete, TooLarge)
-from .poset import Poset, _bits, _dfs_paths, _interval, _memoized
+from .poset import Poset, _bits, _dfs_paths, _greatest, _interval, _memoized
 
 
 def _mask_of(path: Iterable[int]) -> int:
@@ -435,15 +435,15 @@ def _proper_meets(p: Poset) -> frozenset[int] | None:
     common lower bounds, so folding meets over them finds the least one.
     The scan stops at the first pair without a meet. The common lower
     bounds ↓a ∩ ↓b are searched for a maximum once per distinct set, by a
-    walk down the covers (:meth:`Poset._greatest`); a set with a maximum
-    m is ↓m, so there are at most n + 1 searches.
+    walk down the covers (:func:`veinprune.poset._greatest`); a set with a
+    maximum m is ↓m, so there are at most n + 1 searches.
     """
-    below = p._below
+    below, dcov = p._below, p._dcov
     maxima: dict[int, int] = {}
     for a, b in _pairs_sharing_a_lower_bound(p):
         lower = below[a] & below[b]
         if lower not in maxima:
-            top = p._greatest(a, lower)
+            top = _greatest(a, lower, below, dcov)
             if top is None:
                 return None
             maxima[lower] = top

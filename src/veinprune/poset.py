@@ -90,6 +90,114 @@ def _lower_covers(ucov: Sequence[Sequence[int]]
     return tuple(map(tuple, dcov))
 
 
+def _reach(order: Iterable[int], cov: Sequence[Sequence[int]]
+           ) -> tuple[int, ...]:
+    """For each element, the mask of the elements with a path to it along
+    the cover table ``cov``.
+
+    ``order`` lists every element after each element with a step into it,
+    so an element's mask is finished when the walk reaches it, and is then
+    pushed, with the element itself, along its own steps. The lower covers
+    in successors-first order give the up-sets, and the upper covers in
+    the reverse order give the down-sets.
+    """
+    masks = [0] * len(cov)
+    for i in order:
+        done = masks[i] | 1 << i
+        for j in cov[i]:
+            masks[j] |= done
+    return tuple(masks)
+
+
+def _greatest(a: int, bound: int, below: Sequence[int],
+              dcov: Sequence[Sequence[int]]) -> int | None:
+    """Index of the greatest member of ``bound``, or None if it has none.
+
+    ``bound`` is a mask of lower bounds of a, ``below`` and ``dcov`` are
+    the strict down-set masks and the lower covers, and ↓x is the closed
+    down-set of x. The walk goes down the covers from x = a, stepping to a
+    lower cover c of x with ``bound`` inside ↓c. So ``bound`` stays inside
+    ↓x, and once x lies in ``bound`` it is the greatest member. If the
+    greatest member m exists and x is not in ``bound``, then m < x, so m
+    lies below some lower cover c of x, and ↓c holds ↓m, which holds
+    ``bound``: the walk stops without an answer only when there is none.
+    Given the up-set masks and the upper covers, the same walk finds the
+    least member of a set of upper bounds.
+    """
+    if not bound & (bound - 1):  # empty, or its own answer
+        return bound.bit_length() - 1 if bound else None
+    x = a
+    while not bound >> x & 1:
+        for c in dcov[x]:
+            rest = bound & ~below[c]
+            if not rest or rest == 1 << c:
+                x = c
+                break
+        else:
+            return None
+    return x
+
+
+def _complete_on(above: Sequence[int], below: Sequence[int],
+                 ucov: Sequence[Sequence[int]], minimal: int,
+                 maximal: int) -> bool:
+    """The test of :meth:`Poset.is_conditionally_complete` on one side, for
+    the components whose minimal and maximal elements on that side are
+    ``minimal`` and ``maximal``.
+
+    ``above``, ``below`` and ``ucov`` are the side's up-set masks, down-set
+    masks and upper covers: a poset's own, or its ``_below``, ``_above``
+    and ``_dcov`` for the test on its opposite. Only the pairs of minimal
+    elements are kept to those components. Two covers of one element are
+    paired everywhere, which needs no component mask: every such pair with
+    a common upper bound has a join in a conditionally complete poset, so
+    the extra tests cannot change the answer.
+    """
+    if not minimal:  # no component with a cover on this side
+        return True
+    searched: set[int] = set()
+
+    def lacks_join(x: int, upper: int) -> bool:
+        """True iff x and a partner, with the common upper bounds
+        ``upper``, have no least one."""
+        if not upper & (upper - 1) or upper in searched:
+            return False
+        searched.add(upper)
+        return _greatest(x, upper, above, ucov) is None
+
+    seen: set[tuple[int, ...]] = set()  # upper covers tested before
+    for a in _bits(minimal):
+        if ucov[a] in seen:  # the earlier one's partner loop tested a
+            continue
+        seen.add(ucov[a])
+        upper = above[a]
+        partners = 0
+        for m in _bits(upper & maximal):
+            partners |= below[m]
+        # the partners b > a, as offsets from a + 1
+        for b in _bits((partners & minimal) >> (a + 1)):
+            if lacks_join(a, upper & above[a + 1 + b]):
+                return False
+    for ups in ucov:
+        if len(ups) < 2:
+            continue
+        union = 0  # the upper bounds of the covers kept before x
+        kept: dict[tuple[int, ...], int] = {}  # by their upper covers
+        for x in ups:
+            upper = above[x]
+            if ucov[x] in kept:
+                if lacks_join(x, upper):
+                    return False
+                continue
+            if upper & union:
+                for y in kept.values():
+                    if lacks_join(x, upper & above[y]):
+                        return False
+            union |= upper
+            kept[ucov[x]] = x
+    return True
+
+
 def _memoized(fn):
     """Cache ``fn(p, *args)`` in the memo of the poset ``p``.
 
@@ -229,39 +337,21 @@ class Poset:
 
     @property
     def _above(self) -> tuple[int, ...]:
-        """Masks of the elements strictly above each element.
-
-        Filled in successors-first order: an element's upper covers, and
-        all above them, are done before it.
-        """
+        """Masks of the elements strictly above each element, pushed down
+        the lower covers in successors-first order."""
         above = self._above_masks
         if above is None:
-            masks = [0] * len(self._labels)
-            ucov = self._ucov
-            for i in self._order:
-                up = 0
-                for j in ucov[i]:
-                    up |= masks[j] | 1 << j
-                masks[i] = up
-            above = self._above_masks = tuple(masks)
+            above = self._above_masks = _reach(self._order, self._dcov)
         return above
 
     @property
     def _below(self) -> tuple[int, ...]:
-        """Masks of the elements strictly below each element.
-
-        Filled in reverse successors-first order, each element complete
-        before it is pushed into its upper covers.
-        """
+        """Masks of the elements strictly below each element, pushed up
+        the upper covers in reverse successors-first order."""
         below = self._below_masks
         if below is None:
-            masks = [0] * len(self._labels)
-            ucov = self._ucov
-            for i in reversed(self._order):
-                down = masks[i] | 1 << i
-                for j in ucov[i]:
-                    masks[j] |= down
-            below = self._below_masks = tuple(masks)
+            below = self._below_masks = _reach(reversed(self._order),
+                                               self._ucov)
         return below
 
     # ------------------------------------------------------------------
@@ -507,42 +597,12 @@ class Poset:
     # ------------------------------------------------------------------
     # bounds
 
-    def _greatest(self, a: int, bound: int, up: bool = False) -> int | None:
-        """Index of the greatest member of ``bound``, or None if it has none.
-
-        ``bound`` is a mask of lower bounds of a, and ↓x is the closed
-        down-set of x. The walk goes down the covers from x = a, stepping to
-        a lower cover c of x with ``bound`` inside ↓c. So ``bound`` stays
-        inside ↓x, and once x lies in ``bound`` it is the greatest member.
-        If the greatest member m exists and x is not in ``bound``, then
-        m < x, so m lies below some lower cover c of x, and ↓c holds ↓m,
-        which holds ``bound``: the walk stops without an answer only when
-        there is none. With ``up``, the same walk on upper covers and
-        up-sets finds the least member of a set of upper bounds.
-        """
-        if not bound & (bound - 1):  # empty, or its own answer
-            return bound.bit_length() - 1 if bound else None
-        if up:
-            far, near = self._above, self._ucov
-        else:
-            far, near = self._below, self._dcov
-        x = a
-        while not bound >> x & 1:
-            for c in near[x]:
-                rest = bound & ~far[c]
-                if not rest or rest == 1 << c:
-                    x = c
-                    break
-            else:
-                return None
-        return x
-
     def meet(self, a: str, b: str) -> str | None:
         """Greatest lower bound of a and b, or None when it does not exist."""
         ia, ib = self._i(a), self._i(b)
         below = self._below
         lower = (below[ia] | 1 << ia) & (below[ib] | 1 << ib)
-        top = self._greatest(ia, lower)
+        top = _greatest(ia, lower, below, self._dcov)
         return None if top is None else self._labels[top]
 
     def join(self, a: str, b: str) -> str | None:
@@ -550,7 +610,7 @@ class Poset:
         ia, ib = self._i(a), self._i(b)
         above = self._above
         upper = (above[ia] | 1 << ia) & (above[ib] | 1 << ib)
-        bot = self._greatest(ia, upper, up=True)
+        bot = _greatest(ia, upper, above, self._ucov)
         return None if bot is None else self._labels[bot]
 
     @_memoized
@@ -582,7 +642,7 @@ class Poset:
         The pairs of P̂ that cover a common element and may lack a join are
         two minimal elements of P (covers of 0̂), or two upper covers of
         one element, that share an upper bound in P; each needs a least
-        common upper bound, which :meth:`_greatest` finds by a walk up the
+        common upper bound, which :func:`_greatest` finds by a walk up the
         covers. Two elements with a common bound lie in one connected
         component, and the definition is self-dual, so each component is
         tested on P or on its opposite, whichever gives it fewer minimal
@@ -595,8 +655,9 @@ class Poset:
         incomparable, and one that shares no upper bound with the covers
         before it (a maximal one, say) is paired with none. In either
         kind, an element with the same upper covers as one before it has
-        the same joins, so it is tested only against that one. Each
-        distinct set of common upper bounds is searched once.
+        the same joins, so it is tested only against that one; for a
+        minimal element, that pair was tested in the earlier one's partner
+        loop. Each distinct set of common upper bounds is searched once.
         """
         ucov, dcov = self._ucov, self._dcov
         minimal = maximal = 0  # leaving out isolated elements
@@ -629,72 +690,10 @@ class Poset:
             rest &= ~part
             if (part & minimal).bit_count() > (part & maximal).bit_count():
                 flipped |= part
-        return (self._complete_on(True, minimal & ~flipped,
-                                  maximal & ~flipped)
-                and (not flipped
-                     or self._complete_on(False, maximal & flipped,
-                                          minimal & flipped)))
-
-    def _complete_on(self, up: bool, minimal: int, maximal: int) -> bool:
-        """The test of :meth:`is_conditionally_complete`, on P when ``up``,
-        else on its opposite, for the components whose minimal and maximal
-        elements in that order are ``minimal`` and ``maximal``.
-
-        Only the pairs of minimal elements are kept to those components.
-        Two covers of one element are paired everywhere, which needs no
-        component mask: every such pair with a common upper bound has a
-        join in a conditionally complete poset, so the extra tests cannot
-        change the answer.
-        """
-        if not minimal:  # no component with a cover on this side
-            return True
-        above, below = self._above, self._below
-        ucov, dcov = self._ucov, self._dcov
-        if not up:  # the same test on the opposite order
-            above, below, ucov = below, above, dcov
-        searched: set[int] = set()
-
-        def lacks_join(x: int, upper: int) -> bool:
-            """True iff x and a partner, with the common upper bounds
-            ``upper``, have no least one."""
-            if not upper & (upper - 1) or upper in searched:
-                return False
-            searched.add(upper)
-            return self._greatest(x, upper, up) is None
-
-        seen: set[tuple[int, ...]] = set()  # upper covers tested before
-        for a in _bits(minimal):
-            upper = above[a]
-            if ucov[a] in seen:
-                if lacks_join(a, upper):
-                    return False
-                continue
-            seen.add(ucov[a])
-            partners = 0
-            for m in _bits(upper & maximal):
-                partners |= below[m]
-            # the partners b > a, as offsets from a + 1
-            for b in _bits((partners & minimal) >> (a + 1)):
-                if lacks_join(a, upper & above[a + 1 + b]):
-                    return False
-        for ups in ucov:
-            if len(ups) < 2:
-                continue
-            union = 0  # the upper bounds of the covers kept before x
-            kept: dict[tuple[int, ...], int] = {}  # by their upper covers
-            for x in ups:
-                upper = above[x]
-                if ucov[x] in kept:
-                    if lacks_join(x, upper):
-                        return False
-                    continue
-                if upper & union:
-                    for y in kept.values():
-                        if lacks_join(x, upper & above[y]):
-                            return False
-                union |= upper
-                kept[ucov[x]] = x
-        return True
+        return (_complete_on(above, below, ucov, minimal & ~flipped,
+                             maximal & ~flipped)
+                and _complete_on(below, above, dcov, maximal & flipped,
+                                 minimal & flipped))
 
     # ------------------------------------------------------------------
     # layout support

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import combinations
 
 import pytest
 
@@ -52,6 +53,17 @@ def test_boolean_poset(b3):
     assert boolean_poset(0).labels == ("{}",)
     with pytest.raises(InvalidSpec):
         boolean_poset(11)  # capped to keep sizes sane
+
+    def label(s):
+        return "{" + ",".join(map(str, sorted(s))) + "}"
+    for k in range(9):  # the subsets of {1, ..., k} by inclusion
+        subsets = [frozenset(c) for size in range(k + 1)
+                   for c in combinations(range(1, k + 1), size)]
+        covers = [(label(s), label(s | {i})) for s in subsets
+                  for i in range(1, k + 1) if i not in s]
+        p = boolean_poset(k)
+        assert p.labels == tuple(sorted(map(label, subsets)))
+        assert p.covers == tuple(sorted(covers))
 
 
 def test_random_poset_deterministic():

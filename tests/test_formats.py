@@ -19,7 +19,7 @@ from veinprune import (
     parse_text,
     profiles,
 )
-from veinprune.errors import VeinpruneError
+from veinprune.errors import UnknownLabel, VeinpruneError
 from veinprune.formats import _load
 
 YP_TEXT = """\
@@ -35,6 +35,19 @@ def test_parse_text_yp(yp):
     assert doc.to_poset() == yp
     assert doc.elements == ["a", "b", "c", "d"]
     assert doc.covers == [("a", "b"), ("b", "c"), ("b", "d")]
+
+
+def test_document_built_field_by_field_is_validated(yp):
+    doc = PosetDocument(elements=list("abcd"),
+                        covers=[("a", "b"), ("b", "c"), ("b", "d")])
+    assert doc.to_poset() == yp
+    doc.covers.append(("d", "a"))
+    with pytest.raises(CycleDetected) as info:
+        doc.to_poset()
+    assert info.value.cycle == ("a", "b", "d", "a")
+    unknown = PosetDocument(elements=["a"], covers=[("a", "zz")])
+    with pytest.raises(UnknownLabel, match="'zz'"):
+        unknown.to_poset()
 
 
 def test_parse_text_isolated_elements():

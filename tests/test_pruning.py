@@ -56,6 +56,15 @@ def test_pruning_leq_unknown_label(yp):
         pruning_leq(yp, "b", "zz")
 
 
+@pytest.mark.parametrize("x, y, unknown", [("zz", "yy", "zz"),
+                                            ("zz", "a", "zz"),
+                                            ("a", "yy", "yy")])
+def test_pruning_witness_names_the_first_unknown_label(yp, x, y, unknown):
+    with pytest.raises(UnknownLabel) as info:
+        pruning_witness(yp, x, y)
+    assert str(info.value) == f"unknown label {unknown!r}"
+
+
 def test_pruning_witness(yp, c3, b3):
     w = pruning_witness(yp, "b", "c")
     assert (w.x, w.y, w.chain) == ("b", "c", ("b", "c"))
