@@ -248,9 +248,26 @@ for i in $(seq 500); do printf 'a < m%d\nm%d < z\n' "$i" "$i"; done > m500.txt
   for c in $(seq 2 511); do printf 'i%d < i%d\n' "$c" $((c / 2)); done
   for c in $(seq 2 511); do printf 'o%d < o%d\n' $((c / 2)) "$c"; done
 } > twotrees.txt
+# 500 parallel chains a < m_i < c_i < z, 500 forks a < m_i < c_i, d_i < z,
+# and a fence a_i, a_i+1 < b_i < c_i with tops w0 > b1 and w1 > b2, whose
+# maximal elements outnumber its minimal ones
+for i in $(seq 500); do
+  printf 'a < m%d\nm%d < c%d\nc%d < z\n' "$i" "$i" "$i" "$i"
+done > parallel.txt
+for i in $(seq 500); do
+  printf 'a < m%d\nm%d < c%d\nm%d < d%d\nc%d < z\nd%d < z\n' \
+    "$i" "$i" "$i" "$i" "$i" "$i" "$i"
+done > branch.txt
+{
+  for i in $(seq 500); do
+    printf 'a%d < b%d\na%d < b%d\nb%d < c%d\n' "$i" "$i" $((i + 1)) "$i" \
+      "$i" "$i"
+  done
+  printf 'b1 < w0\nb2 < w1\n'
+} > toppedfence.txt
 for file in b8.txt b10.txt fence2000.txt lattice5.txt k30.txt crown5.txt \
     star.txt intree.txt fan.txt hourglass.txt twotops.txt m500.txt \
-    twotrees.txt; do
+    twotrees.txt parallel.txt branch.txt toppedfence.txt; do
   same info "$file"
   same irr "$file"
 done

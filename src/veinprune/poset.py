@@ -185,16 +185,14 @@ def _complete_on(above: Sequence[int], below: Sequence[int],
         kept: dict[tuple[int, ...], int] = {}  # by their upper covers
         for x in ups:
             upper = above[x]
-            if ucov[x] in kept:
-                if lacks_join(x, upper):
-                    return False
-                continue
-            if upper & union:
-                for y in kept.values():
+            shared = upper & union
+            if shared & (shared - 1):  # else no pair shares two upper bounds
+                twin = kept.get(ucov[x])
+                for y in kept.values() if twin is None else (twin,):
                     if lacks_join(x, upper & above[y]):
                         return False
             union |= upper
-            kept[ucov[x]] = x
+            kept.setdefault(ucov[x], x)
     return True
 
 
@@ -652,12 +650,14 @@ class Poset:
         first, as sparse posets often fail there: the partners of a
         minimal element a are the minimal elements below the maximal
         elements above a. Two upper covers of one element are
-        incomparable, and one that shares no upper bound with the covers
-        before it (a maximal one, say) is paired with none. In either
-        kind, an element with the same upper covers as one before it has
-        the same joins, so it is tested only against that one; for a
-        minimal element, that pair was tested in the earlier one's partner
-        loop. Each distinct set of common upper bounds is searched once.
+        incomparable, and one is paired with the covers before it only
+        when it shares two or more upper bounds with them: otherwise each
+        such pair has one common upper bound, its own least, or none (a
+        maximal cover, say, shares none). In either kind, an element with
+        the same upper covers as one before it has the same joins, so it is
+        tested only against that one; for a minimal element, that pair was
+        tested in the earlier one's partner loop. Each distinct set of
+        common upper bounds is searched once.
         """
         ucov, dcov = self._ucov, self._dcov
         minimal = maximal = 0  # leaving out isolated elements

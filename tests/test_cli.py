@@ -185,6 +185,12 @@ def test_check_env_seed(monkeypatch, capsys):
     assert "(seed 7)" in capsys.readouterr().out
 
 
+def test_check_default_seed(monkeypatch, capsys):
+    monkeypatch.delenv("VEINPRUNE_SEED", raising=False)
+    assert cli(["check", "--count", "3", "--max-size", "5"]) == 0
+    assert "(seed 42)" in capsys.readouterr().out
+
+
 def test_check_env_seed_invalid(monkeypatch, capsys):
     monkeypatch.setenv("VEINPRUNE_SEED", "not-a-number")
     assert cli(["check", "--count", "3"]) == 2

@@ -58,6 +58,7 @@ def test_exhaustive_matches_binary():
         fam("ab", [{"a"}, {"b"}]),
         fam("abcd", [{"a"}, {"b"}, {"c"}, {"d"}, {"a", "b"}, {"c", "d"}]),
         fam("abcd", [{"a", "b"}, {"b", "c"}, {"c", "d"}]),
+        fam("abc", [{"a"}, {"b"}, {"a", "b"}]),  # c lies in no member
     ]
     for f in cases:
         assert f.is_connectivity() == oracle.is_connectivity_exhaustive(f)
@@ -77,6 +78,9 @@ def test_point_connected():
     g = fam("ab", [{"a", "b"}])  # connectivity, but {b} alone is missing
     assert g.is_connectivity()
     assert not g.is_point_connected()
+    with pytest.raises(NotAConnectivity, match="not point connected"):
+        g.components()
+    assert repr(g) == "<SetFamily 2 points, 1 members>"
     bad = fam("abc", [{"a", "b"}, {"b", "c"}])
     with pytest.raises(NotAConnectivity):
         bad.is_point_connected()

@@ -132,6 +132,9 @@ def test_labels_sorted_and_value_equality():
     assert p == q
     assert hash(p) == hash(q)
     assert p != Poset.from_relations("ab", [("a", "b")])
+    # another type gets NotImplemented, and == falls back to identity
+    assert p.__eq__(1) is NotImplemented
+    assert (p == 1) is False
 
 
 def test_leq_lt_comparable(c3, yp, a2):

@@ -95,8 +95,8 @@ def test_is_vein(yp, b3, c3):
 
 
 def test_is_vein_leaves_the_lower_masks_unfilled():
-    # as_chain sorts by the upper masks the constructor keeps, so a vein
-    # query costs O(|subset|) and not the downward closure of the poset
+    # as_chain sorts by the upper masks the constructor keeps, and a vein
+    # query reads only covers, so neither builds the downward closure
     p = Poset.from_relations(
         "abcdef", [("a", "b"), ("b", "c"), ("c", "d"), ("c", "e")])
     assert p._below_masks is None
@@ -121,6 +121,28 @@ def test_singleton_vein_query_reads_no_mask():
         assert is_vein(q, [x])
         assert q.as_chain([x]) == (x,)
     assert q._above_masks is None and q._below_masks is None
+
+
+def test_vein_query_reads_no_mask():
+    # a larger subset is decided from the bridge edges alone, so neither
+    # the pruned poset nor the opposite, both built from covers, fills a
+    # mask: not for a cover run of two or three elements, nor for a subset
+    # that is no run
+    p = Poset.from_relations(
+        "abcdef", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"),
+                   ("d", "e"), ("e", "f")])
+    q = prune(p).pruned
+    assert q.covers == (("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"))
+    assert not is_vein(q, {"a", "b"})
+    assert not is_vein(q, {"a", "b", "d"})
+    assert not is_vein(q, {"b", "c"})
+    assert q._above_masks is None and q._below_masks is None
+    r = p.opposite()
+    assert is_vein(r, {"f", "e"})
+    assert is_vein(r, {"f", "d", "e"})
+    assert not is_vein(r, {"d", "f"})
+    assert not is_vein(r, {"b", "d", "e"})
+    assert r._above_masks is None and r._below_masks is None
 
 
 def test_bridge_edges(yp, c3, b3, vee):
