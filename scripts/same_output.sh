@@ -7,8 +7,8 @@
 # once against that tree and once against the working tree's src/, from
 # the same directory, and stdout, stderr and the exit code are compared.
 # Two last steps do the same for library results that no command prints:
-# the witness chains and profiles, and the chain, interval, subposet and
-# opposite views of the order.
+# the witness chains and profiles, and the chain, interval, subposet,
+# opposite and pruned views of the order.
 # Every invocation runs, whatever differs. Prints SAME OUTPUT and exits
 # 0, or lists every invocation that differs, ends with "N of M
 # invocations differ" and exits 1.
@@ -327,9 +327,12 @@ for path in sys.argv[1:]:
 PY
 # the order views no command prints in full: maximal_chains(), the maximal
 # chains of the interval of every strict pair, the subposets induced on
-# seeded subsets, and the covers and relations of opposite(), hashed per
-# input; the interval chains and induced subposets are looked up in the
-# oracle, falling back to the Poset methods of older revisions
+# seeded subsets, the covers and relations of opposite(), and of the two
+# posets assembled from their parent's cover tables, each label's lower
+# covers, the minimal elements and the heights of the pruned poset and of
+# opposite(), and the covers of the opposite's pruning, hashed per input;
+# the interval chains and induced subposets are looked up in the oracle,
+# falling back to the Poset methods of older revisions
 cat > "$work/orders.py" <<'PY'
 import hashlib
 import random
@@ -337,6 +340,7 @@ import sys
 
 from veinprune import oracle
 from veinprune.formats import load_document
+from veinprune.pruning import prune
 
 
 def moved(name):
@@ -367,6 +371,10 @@ for path in sys.argv[1:]:
         put("induced", subset, q.covers, q.relations())
     q = p.opposite()
     put("opposite", q.covers, q.relations())
+    for name, q in (("pruned", prune(p).pruned), ("opposite", p.opposite())):
+        put(name, [(x, q.lower_covers(x)) for x in q.labels],
+            q.minimal_elements(), q.heights())
+    put("opposite pruned", prune(p.opposite()).pruned.covers)
     print(path, len(chains), "chains", len(pairs), "pairs", digest.hexdigest())
 PY
 # a ladder of 40 diamonds ending in a bridge, as in the deep_shapes

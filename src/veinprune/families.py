@@ -198,17 +198,20 @@ def fixtures() -> dict[str, Poset]:
     }
 
 
+def _corpus(build, count: int, top: int, seed: int, *args) -> list[Poset]:
+    """``count`` posets ``build(size, s, *args)``: one generator, seeded
+    by ``seed``, draws each size in [1, top] and then each 32-bit seed s."""
+    rng = random.Random(seed)
+    return [build(rng.randint(1, top), rng.getrandbits(32), *args)
+            for _ in range(count)]
+
+
 def random_corpus(count: int, max_size: int, seed: int,
                   edge_prob: float = 0.3) -> list[Poset]:
     """A reproducible list of random posets with sizes up to ``max_size``."""
     if max_size < 1:
         raise InvalidSpec(f"max_size must be at least 1, got {max_size}")
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        size = rng.randint(1, max_size)
-        out.append(random_poset(size, rng.getrandbits(32), edge_prob))
-    return out
+    return _corpus(random_poset, count, max_size, seed, edge_prob)
 
 
 def downset_corpus(count: int, max_base_size: int, seed: int) -> list[Poset]:
@@ -216,9 +219,4 @@ def downset_corpus(count: int, max_base_size: int, seed: int) -> list[Poset]:
     if max_base_size < 1:
         raise InvalidSpec(
             f"max_base_size must be at least 1, got {max_base_size}")
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        base = rng.randint(1, max_base_size)
-        out.append(downset_lattice(base, rng.getrandbits(32)))
-    return out
+    return _corpus(downset_lattice, count, max_base_size, seed)

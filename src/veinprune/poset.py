@@ -5,10 +5,12 @@ label list. The covers are tuples of ascending indices, so they take
 O(n + covers) space and a cover step costs O(degree) whatever the
 indices. The strict order is read as bitmasks, so comparability,
 interval, and bound queries come down to word operations. The
-constructor keeps the upward masks, which its cover reduction needs; the
-downward masks, and both tables of a poset built straight from trusted
-covers, are filled from the covers when first read. Elements are
-identified by their labels and nothing else.
+constructor keeps the upward masks, which its cover reduction needs, and
+fills the downward masks from the covers when first read. A poset
+derived from another (the opposite, the pruned poset) is assembled from
+the other's two cover tables, shared or edited, so no cover table is
+built twice; both its order tables are filled when first read. Elements
+are identified by their labels and nothing else.
 
 Instances are immutable after construction and hashable. Derived tables
 (maximal chains, completeness, bridge edges, pruning reachability, ...)
@@ -314,21 +316,25 @@ class Poset:
     @classmethod
     def _from_covers(cls, labels: tuple[str, ...], index: dict[str, int],
                      ucov: Sequence[tuple[int, ...]],
+                     dcov: Sequence[tuple[int, ...]],
                      order: tuple[int, ...]) -> Poset:
-        """The poset whose cover relation is ``ucov``, without a closure.
+        """The poset whose upper and lower covers are ``ucov`` and
+        ``dcov``, without a closure.
 
         Trusted input, not checked: ``index`` maps ``labels`` to their
-        positions, ``ucov[i]`` lists ascending indices and is already the
-        cover relation (no edge is implied by others), and ``order`` lists
-        every index after all its upper covers. Only the lower covers are
-        built here; the order masks are filled when first read.
+        positions, ``ucov[i]`` and ``dcov[i]`` list the upper and lower
+        covers of i as ascending indices (no edge is implied by others, and
+        each table is the other read the other way), and ``order`` lists
+        every index after all its upper covers. Nothing is derived here: a
+        tuple table is shared as given, and the order masks are filled
+        when first read.
         """
         p = cls.__new__(cls)
         p._labels = labels
         p._index = index
         p._above_masks = p._below_masks = None
         p._ucov = tuple(ucov)
-        p._dcov = _lower_covers(ucov)
+        p._dcov = tuple(dcov)
         p._order = order
         p._memo = {}
         return p
@@ -585,31 +591,33 @@ class Poset:
     def opposite(self) -> Poset:
         """The dual poset: same elements, order reversed.
 
-        Its upper covers are the lower covers here, and the reverse of the
-        successors-first order lists each element after them, so nothing
-        is closed or checked again.
+        Its two cover tables are the two here, swapped and shared, and the
+        reverse of the successors-first order lists each element after its
+        upper covers, so nothing is built, closed or checked again.
         """
         return Poset._from_covers(self._labels, self._index, self._dcov,
-                                  self._order[::-1])
+                                  self._ucov, self._order[::-1])
 
     # ------------------------------------------------------------------
     # bounds
 
     def meet(self, a: str, b: str) -> str | None:
         """Greatest lower bound of a and b, or None when it does not exist."""
-        ia, ib = self._i(a), self._i(b)
-        below = self._below
-        lower = (below[ia] | 1 << ia) & (below[ib] | 1 << ib)
-        top = _greatest(ia, lower, below, self._dcov)
-        return None if top is None else self._labels[top]
+        return self._bound(a, b, self._below, self._dcov)
 
     def join(self, a: str, b: str) -> str | None:
         """Least upper bound of a and b, or None when it does not exist."""
+        return self._bound(a, b, self._above, self._ucov)
+
+    def _bound(self, a: str, b: str, below: Sequence[int],
+               dcov: Sequence[Sequence[int]]) -> str | None:
+        """The greatest common lower bound of a and b, given the down-set
+        masks and the lower covers; the least common upper bound, given
+        the up-set masks and the upper covers."""
         ia, ib = self._i(a), self._i(b)
-        above = self._above
-        upper = (above[ia] | 1 << ia) & (above[ib] | 1 << ib)
-        bot = _greatest(ia, upper, above, self._ucov)
-        return None if bot is None else self._labels[bot]
+        bound = (below[ia] | 1 << ia) & (below[ib] | 1 << ib)
+        top = _greatest(ia, bound, below, dcov)
+        return None if top is None else self._labels[top]
 
     @_memoized
     def is_conditionally_complete(self) -> bool:

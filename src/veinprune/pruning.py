@@ -15,10 +15,11 @@ bridge of q either. So q has no bridge edges, and prune(q) = q.
 The fast route deletes the bridge edges from the cover digraph and takes
 reachability: a maximal chain of [x, y] is a cover path from x to y, and
 it contains a strict vein exactly when two consecutive entries form a
-bridge edge. The pruned poset is built straight from the non-bridge
-covers, which are its covers, and its order is filled only when a caller
-reads it (a witness walk, ``removed_relations``); a poset without bridge
-edges is its own pruning. The definition-level route lives in
+bridge edge. The pruned poset is assembled from p's two cover tables
+with the bridge edges deleted, which are its covers, so it builds no
+cover table of its own, and its order is filled only when a caller reads
+it (a witness walk, ``removed_relations``); a poset without bridge edges
+is its own pruning. The definition-level route lives in
 :mod:`veinprune.oracle`; ``prune`` and ``iterate_prune`` reach it with
 ``mode="oracle"``. Either route yields the same pruned poset, and a pass
 reports only that poset and the number of relations it removed. Witness
@@ -83,22 +84,24 @@ class PruneIteration:
     fixpoint_index: int | None
 
 
-def _non_bridge_covers(p: Poset) -> list[tuple[int, ...]]:
-    """The upper cover tuples with every bridge edge deleted.
+def _non_bridge_covers(p: Poset) -> tuple[list[tuple[int, ...]], ...]:
+    """The upper and the lower cover tuples with every bridge edge deleted.
 
-    A bridge (i, j) is the only upper cover of i, so deleting it leaves i
-    with none.
+    In a bridge (i, j), j is the only upper cover of i and i the only
+    lower cover of j, so deleting it leaves i with no upper cover and j
+    with no lower one.
     """
-    adj = list(p._ucov)
+    ups, downs = list(p._ucov), list(p._dcov)
     for run in _bridge_runs(p):
-        for i in run[:-1]:
-            adj[i] = ()
-    return adj
+        for i, j in zip(run, run[1:]):
+            ups[i] = downs[j] = ()
+    return ups, downs
 
 
 @_memoized
 def _built_pruned(p: Poset) -> Poset | None:
-    """The pruned poset, built from the non-bridge covers without a closure.
+    """The pruned poset, assembled from the non-bridge covers without a
+    closure.
 
     They are its covers (:func:`pruning_witness`, fact 1), and deleting
     edges keeps p's successors-first order valid, so p's labels, index and
@@ -108,7 +111,7 @@ def _built_pruned(p: Poset) -> Poset | None:
     """
     if not _bridge_runs(p):
         return None
-    return Poset._from_covers(p._labels, p._index, _non_bridge_covers(p),
+    return Poset._from_covers(p._labels, p._index, *_non_bridge_covers(p),
                               p._order)
 
 

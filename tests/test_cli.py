@@ -202,7 +202,7 @@ def test_check_reports_failures(monkeypatch, capsys):
     # each poset's pair scan at its first disagreement; an inverted
     # star-chain check fails every instance and keeps counting
     monkeypatch.setattr(veinprune.pruning, "_non_bridge_covers",
-                        lambda p: list(p._ucov))
+                        lambda p: (list(p._ucov), list(p._dcov)))
     real = veinprune.suite.star_chain_check
     monkeypatch.setattr(veinprune.suite, "star_chain_check",
                         lambda *args: not real(*args))
@@ -290,7 +290,7 @@ CHECK_SEED_3 = [
 
 def _keep_bridges(monkeypatch):
     monkeypatch.setattr(veinprune.pruning, "_non_bridge_covers",
-                        lambda p: list(p._ucov))
+                        lambda p: (list(p._ucov), list(p._dcov)))
 
 
 def _highest_witness(monkeypatch):

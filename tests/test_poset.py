@@ -275,6 +275,14 @@ def test_opposite_is_built_from_the_covers(b3, monkeypatch):
     assert q.heights() == expected.heights()
 
 
+def test_opposite_shares_the_cover_tables(fx, bowtie):
+    # the two cover tables of the opposite are the two here, swapped
+    for p in (*fx.values(), bowtie):
+        q = p.opposite()
+        assert q._ucov is p._dcov and q._dcov is p._ucov
+        assert q.opposite()._ucov is p._ucov
+
+
 def test_order_masks_are_read_through_their_properties():
     # one way to read a mask table: the property fills it on first read
     package = Path(veinprune.__file__).parent

@@ -24,9 +24,11 @@ from veinprune import (
     suite,
 )
 from veinprune.cli import cli
+from veinprune.poset import _lower_covers
 from veinprune.suite import cover_inheritance_check, star_chain_check
 from veinprune.veins import _bridge_runs
 
+from _orders import as_poset, natural_orders
 from test_scale import ladder
 
 
@@ -182,6 +184,26 @@ def test_prune_commutes_with_opposite(fx):
         assert prune(p.opposite()).pruned == prune(p).pruned.opposite()
 
 
+def test_derived_posets_carry_matching_cover_tables_on_every_small_order():
+    # the opposite and the pruned poset are assembled from their parent's
+    # two cover tables, not rebuilt: on every order on at most 6 elements,
+    # under both label directions, each derived poset's lower covers must
+    # be the ones its upper covers give, and its covers those a closure
+    # and reduction of them give
+    orders = list(natural_orders(6))
+    assert len(orders) == 5231
+    for below in orders:
+        for reverse in (False, True):
+            p = as_poset(below, reverse)
+            q, r = prune(p).pruned, p.opposite()
+            for derived in (r, q, prune(r).pruned, q.opposite()):
+                assert derived._dcov == _lower_covers(derived._ucov)
+                rebuilt = Poset.from_relations(derived.labels,
+                                               derived.covers)
+                assert derived == rebuilt
+                assert derived.relations() == rebuilt.relations()
+
+
 def test_iterate_prune(c3, yp, b3):
     it = iterate_prune(c3)
     assert len(it.posets) == 3
@@ -293,7 +315,7 @@ def test_pruned_partial_order_fails_a_pruning_that_keeps_its_bridges(
     # every pruned poset is an order by construction; only its covers can
     # tell that the bridge edges were not deleted
     monkeypatch.setattr(veinprune.pruning, "_non_bridge_covers",
-                        lambda p: list(p._ucov))
+                        lambda p: (list(p._ucov), list(p._dcov)))
     fresh_yp = Poset.from_relations(
         "abcd", [("a", "b"), ("b", "c"), ("b", "d")])  # nothing memoized
     outcome = suite._pruned_partial_order([fresh_yp])

@@ -20,6 +20,7 @@ import tracemalloc
 
 import pytest
 
+import veinprune.poset
 from veinprune import (
     Poset,
     PosetDocument,
@@ -336,6 +337,56 @@ def test_completeness_reads_the_order_tables_once_per_cover(shape):
     p._above_masks, p._below_masks = Counted(p._above), Counted(p._below)
     assert p.is_conditionally_complete()
     assert reads[0] <= 10_000, reads
+
+
+# the tables each command builds on any document: the calls of
+# poset._lower_covers (a cover table built from the other) and of
+# poset._reach (an order table filled on first read). The load builds the
+# lower covers once; the opposite and the pruned poset are assembled from
+# tables already built, and only the completeness test of info and irr
+# fills the downward masks
+ORDER_TABLE_FILLS = {
+    ("info",): 1,
+    ("irr",): 1,
+    ("veins",): 0,
+    ("prune",): 0,
+    ("prune", "--format", "json"): 0,
+    ("prune", "--format", "dot"): 0,
+    ("iterate",): 0,
+    ("iterate", "--max", "1"): 0,
+    ("dot",): 0,
+}
+
+
+@pytest.mark.parametrize("name", ["yp", "bowtie", "empty", "sparse"])
+def test_table_builds_per_command(name, tmp_path, monkeypatch, capsys):
+    # a count, unlike a time, fails on any host: a command that builds a
+    # cover table twice, or fills an order table it does not read, fails
+    # here
+    if name == "sparse":
+        path = _write(tmp_path, random_poset(4000, 7, 0.001), "sparse.txt")
+    else:
+        path = tmp_path / f"{name}.txt"
+        path.write_text({"yp": "a < b\nb < c\nb < d\n",
+                         "bowtie": "a < c\na < d\nb < c\nb < d\n",
+                         "empty": ""}[name])
+    calls = {"_lower_covers": 0, "_reach": 0}
+
+    def counted(fname):
+        real = getattr(veinprune.poset, fname)
+
+        def wrapper(*args):
+            calls[fname] += 1
+            return real(*args)
+        return wrapper
+
+    for fname in calls:
+        monkeypatch.setattr(veinprune.poset, fname, counted(fname))
+    for argv, fills in ORDER_TABLE_FILLS.items():
+        calls.update(_lower_covers=0, _reach=0)
+        assert cli([*argv, str(path)]) in (0, 1), argv
+        capsys.readouterr()
+        assert calls == {"_lower_covers": 1, "_reach": fills}, argv
 
 
 def test_info_on_deep_poset(tmp_path, capsys):
