@@ -205,6 +205,26 @@ for file in bad_double.txt bad_side.txt bad_relation.txt bad_element.txt \
   same info "$file"
   same prune "$file"
 done
+# the bytes of a document as it is read: CRLF and lone-CR line ends, a
+# byte order mark, a Latin-1 byte (not UTF-8), a CRLF JSON document, and
+# two malformed CRLF documents, whose errors name a line
+printf 'a < b\r\nb < c\r\nb < d\r\n' > crlf.txt
+printf 'a < b\rb < c\rb < d\r' > cr.txt
+printf '\357\273\277a < b\nb < c\n' > bom.txt
+printf 'a < \351\n' > latin1.txt
+printf '{"elements": ["a", "b", "c"],\r\n "covers": %s}\r\n' \
+  '[["a", "b"], ["b", "c"]]' > crlf.json
+printf 'a < b\r\nb < c < d\r\n' > bad_crlf_double.txt
+printf '# x\r\nok\r\na b\r\n' > bad_crlf_element.txt
+for file in crlf.txt cr.txt bom.txt latin1.txt crlf.json \
+    bad_crlf_double.txt bad_crlf_element.txt; do
+  same info "$file"
+  same prune "$file"
+  same irr "$file"
+done
+# two separate cycles: the witness is the one the walk reaches first
+printf 'c < d\nd < c\na < b\nb < a\n' > twocycles.txt
+same info twocycles.txt
 # 11,175 strict veins, every sub-run of one bridge run
 same veins chain150.txt
 # the completeness line of info and the footer of irr on lattices, a long

@@ -27,8 +27,10 @@ def _load(path: str) -> tuple[Poset, str | None]:
     if path == "-":
         text = sys.stdin.read()
     else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        # read as bytes: CPython's text-mode file object kept a small block
+        # alive on some opens, so a long-lived caller's memory grew
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
     return formats._load(text)
 
 

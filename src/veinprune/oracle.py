@@ -40,11 +40,11 @@ completeness by a route of its own. The module imports only
 
 The maximal chains of an interval are the cover paths from its least
 element, inside its mask, that end at its greatest.
-:func:`_interval_paths` lists them for :func:`maximal_chains_in_interval`
-and the suite; the witness search, :func:`_clean_chain_ix`, walks them
-itself, as it stops at the first one without a strict vein. That
-function and :func:`induced_subposet` have no reader in the fast route,
-so they live here rather than on :class:`Poset`.
+:func:`_interval_paths` lists them for :func:`maximal_chains_in_interval`,
+the suite and the witness search, :func:`_clean_chain_ix`, which stops at
+the first one without a strict vein. :func:`maximal_chains_in_interval`
+and :func:`induced_subposet` have no reader in the fast route, so they
+live here rather than on :class:`Poset`.
 
 Each walk below starts from the elements in index order and follows
 ascending successor lists, in preorder, so it lists its index paths in
@@ -174,23 +174,22 @@ def maximal_chains_in_interval(p: Poset, x: str,
 def _clean_chain_ix(p: Poset, ix: int, iy: int) -> tuple[int, ...] | None:
     """Lexicographically least maximal chain of [x, y] with no strict vein.
 
-    None unless x < y. The cover paths from x inside [x, y] are walked up
-    to the first one that ends at y and contains no strict vein. Each
-    table, and the vein masks, is read once per call.
+    None unless x < y. The maximal chains of [x, y] are walked, by
+    :func:`_interval_paths`, up to the first one that contains no strict
+    vein. Each table, and the vein masks, is read once per call.
     """
     above = p._above
     if not above[ix] >> iy & 1:
         return None
     veins = _strict_vein_masks(p)
     within = _interval(above, p._below, ix, iy)
-    for path in _dfs_paths(ix, p._ucov, within):
-        if path[-1] == iy:
-            cm = _mask_of(path)
-            for v in veins:
-                if not v & ~cm:
-                    break
-            else:
-                return tuple(path)
+    for path in _interval_paths(p._ucov, ix, iy, within):
+        cm = _mask_of(path)
+        for v in veins:
+            if not v & ~cm:
+                break
+        else:
+            return tuple(path)
     return None
 
 

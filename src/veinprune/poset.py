@@ -5,12 +5,14 @@ label list. The covers are tuples of ascending indices, so they take
 O(n + covers) space and a cover step costs O(degree) whatever the
 indices. The strict order is read as bitmasks, so comparability,
 interval, and bound queries come down to word operations. The
-constructor keeps the upward masks, which its cover reduction needs, and
-fills the downward masks from the covers when first read. A poset
-derived from another (the opposite, the pruned poset) is assembled from
-the other's two cover tables, shared or edited, so no cover table is
-built twice; both its order tables are filled when first read. Elements
-are identified by their labels and nothing else.
+constructor orders the elements by a walk that touches no mask, then
+closes and reduces in one pass along that order. It keeps the upward
+masks that pass builds, and fills the downward masks from the covers
+when first read. A poset derived from another (the opposite, the pruned
+poset) is assembled from the other's two cover tables, shared or
+edited, so no cover table is built twice; both its order tables are
+filled when first read. Elements are identified by their labels and
+nothing else.
 
 Instances are immutable after construction and hashable. Derived tables
 (maximal chains, completeness, bridge edges, pruning reachability, ...)
@@ -244,26 +246,26 @@ class Poset:
         self._close(adj)
 
     def _close(self, adj: Sequence[Sequence[int]]) -> None:
-        """Close ``adj`` into the order in one walk of O(n + edges) mask ops.
+        """Close ``adj`` into the order in two passes: a walk that orders,
+        then one pass of O(n + edges) mask ops that closes and reduces.
 
-        A non-recursive depth-first walk, successors in ascending order,
-        closes element i only after every successor j of i has closed, and
-        an element without successors on arrival; ``_order`` keeps that
-        closing order, successors first. Reaching an element still on the
-        walk's path raises CycleDetected with that cycle. While i is on the
-        path, ``above[i]`` gathers the ``above[j]`` of its successors as
-        they close; when i closes, that union is ``redundant``, and
-        ``above[i]`` becomes ``redundant`` plus the edges of i. A cover is
-        an input edge (a longer path puts an element between its ends), and
-        an edge i -> j is a cover unless j lies above another successor of
-        i: the upper covers are the edges outside ``redundant``, and an
-        element's only edge is always one. A second pass, in index order,
-        lists the lower covers ascending. ``_below`` is left to its first
-        reader. ``_labels`` and ``_index`` are set before the call.
+        The walk is depth first and non-recursive, successors in ascending
+        order. It closes element i only after every successor j of i has
+        closed, and an element without successors on arrival; ``_order``
+        keeps that closing order, successors first. Reaching an element
+        still on the walk's path raises CycleDetected with that cycle.
+        The second pass goes along ``_order``, so ``above[j]`` is finished
+        for every successor j of i when i is reached: ``redundant`` is the
+        union of those, and ``above[i]`` is ``redundant`` plus the edges of
+        i. A cover is an input edge (a longer path puts an element between
+        its ends), and an edge i -> j is a cover unless j lies above
+        another successor of i: the upper covers are the edges outside
+        ``redundant``, and an element's only edge is always one. A last
+        pass, in index order, lists the lower covers ascending. ``_below``
+        is left to its first reader. ``_labels`` and ``_index`` are set
+        before the call.
         """
         n = len(self._labels)
-        above = [0] * n
-        ucov: list[tuple[int, ...]] = [()] * n
         color = [0] * n  # 0 new, 1 on the walk's path, 2 closed
         order: list[int] = []  # successors first
         for root in range(n):
@@ -278,34 +280,31 @@ class Poset:
                         color[j] = 1
                         stack.append((j, iter(adj[j])))
                         break
-                    if color[j] == 2:
-                        above[i] |= above[j]
-                    else:
+                    if color[j] == 1:
                         path = [f[0] for f in stack]
                         cycle = path[path.index(j):] + [j]
                         raise CycleDetected(
                             tuple(self._labels[k] for k in cycle))
                 else:  # every successor of i has closed
                     stack.pop()
-                    succ = adj[i]
-                    redundant = above[i]
-                    if len(succ) == 1:
-                        above[i] = redundant | 1 << succ[0]
-                        ucov[i] = (succ[0],)
-                    else:
-                        edges = 0
-                        for j in succ:
-                            edges |= 1 << j
-                        above[i] = edges | redundant
-                        if edges & redundant:
-                            kept = edges & ~redundant
-                            ucov[i] = tuple(j for j in succ if kept >> j & 1)
-                        else:
-                            ucov[i] = tuple(succ)
                     color[i] = 2
                     order.append(i)
-                    if stack:
-                        above[stack[-1][0]] |= above[i]
+        above = [0] * n
+        ucov: list[tuple[int, ...]] = [()] * n
+        for i in order:
+            succ = adj[i]
+            if len(succ) == 1:
+                j = succ[0]
+                above[i] = above[j] | 1 << j
+                ucov[i] = (j,)
+                continue
+            redundant = edges = 0
+            for j in succ:
+                redundant |= above[j]
+                edges |= 1 << j
+            above[i] = redundant | edges
+            ucov[i] = (tuple(j for j in succ if not redundant >> j & 1)
+                       if edges & redundant else tuple(succ))
         self._above_masks = tuple(above)
         self._below_masks = None
         self._ucov = tuple(ucov)

@@ -1,18 +1,21 @@
 from __future__ import annotations
 
+import contextlib
+import gc
 import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import veinprune
 import veinprune.cli
-from veinprune import PosetDocument, emit_text, fixtures
+from veinprune import PosetDocument, emit_text, fixtures, random_poset
 from veinprune.cli import cli
 
 YP_TEXT = "a < b\nb < c\nb < d\n"
@@ -538,6 +541,42 @@ def test_non_utf8_file_is_input_error(tmp_path, capsys):
     assert cli(["info", str(path)]) == 2
     err = capsys.readouterr().err
     assert "'utf-8' codec can't decode" in err and err.count("\n") == 1
+
+
+def test_repeated_commands_retain_no_memory(tmp_path):
+    # memory that grows across calls in one process: after 20 warm-up
+    # calls, 100 more of each command must keep at most a few blocks of
+    # live Python allocations (tracemalloc counts blocks, so allocator
+    # caches do not move it); a text-mode file object kept a 67-byte block
+    # on about one opened path in five, and a cache of loaded posets would
+    # keep far more
+    path = tmp_path / "doc.txt"
+    path.write_text(emit_text(PosetDocument.from_poset(
+        random_poset(12, 7, 0.3))))
+    growth = {}
+    tracemalloc.start()
+    try:
+        for command in (["info"], ["veins"], ["prune"],
+                        ["prune", "--format", "json"],
+                        ["prune", "--format", "dot"], ["iterate"], ["irr"],
+                        ["dot"]):
+            argv = [*command, str(path)]
+            for call in range(120):
+                if call == 20:
+                    gc.collect()
+                    before = tracemalloc.get_traced_memory()[0]
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli(argv) == 0
+            gc.collect()
+            growth[" ".join(command)] = (tracemalloc.get_traced_memory()[0]
+                                         - before)
+    finally:
+        tracemalloc.stop()
+    # the test's own variables move a reading by a few dozen bytes either
+    # way, so a command that frees some does not offset one that keeps some
+    kept = {command: size for command, size in growth.items() if size > 0}
+    assert sum(kept.values()) <= 256, \
+        f"bytes kept by 100 calls of each command: {kept}"
 
 
 def test_unexpected_fault_exits_3(yp_file, monkeypatch, capsys):

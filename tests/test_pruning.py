@@ -204,6 +204,42 @@ def test_derived_posets_carry_matching_cover_tables_on_every_small_order():
                 assert derived.relations() == rebuilt.relations()
 
 
+def test_the_closure_gives_the_order_on_every_small_order():
+    # the constructor's walk and closing pass against tables computed from
+    # the strict down-sets alone, on every order on at most 6 elements
+    # under both label directions: the up-set masks, the upper covers
+    # (the pairs with nothing strictly between) and an order listing each
+    # element after its upper covers; a rebuild from the covers alone
+    # gives the same tables
+    orders = list(natural_orders(6))
+    assert len(orders) == 5231
+    for below in orders:
+        n = len(below)
+        for reverse in (False, True):
+            # the poset index of element i: labels sort in index order, or
+            # in its reverse
+            at = [n - 1 - i if reverse else i for i in range(n)]
+            above = [0] * n
+            ucov: list[list[int]] = [[] for _ in range(n)]
+            for j, down in enumerate(below):
+                for i in range(n):
+                    if down >> i & 1:
+                        above[at[i]] |= 1 << at[j]
+                        if not any(below[m] >> i & 1
+                                   for m in range(n) if down >> m & 1):
+                            ucov[at[i]].append(at[j])
+            p = as_poset(below, reverse)
+            assert p._above_masks == tuple(above)
+            assert p._ucov == tuple(tuple(sorted(ups)) for ups in ucov)
+            assert sorted(p._order) == list(range(n))
+            place = {k: pos for pos, k in enumerate(p._order)}
+            assert all(place[k] > place[j]
+                       for k in range(n) for j in ucov[k])
+            rebuilt = Poset.from_relations(p.labels, p.covers)
+            assert (rebuilt._above_masks, rebuilt._ucov, rebuilt._dcov) \
+                == (p._above_masks, p._ucov, p._dcov)
+
+
 def test_iterate_prune(c3, yp, b3):
     it = iterate_prune(c3)
     assert len(it.posets) == 3
