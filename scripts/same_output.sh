@@ -300,6 +300,23 @@ for file in "${small[@]}"; do
   same iterate --mode oracle --max 1 "$file"
   same iterate --mode oracle --max 4 "$file"
 done
+# command lines read from the parser's action table beside ones that only
+# argparse reads: an abbreviation, --opt=value, a repeated option, an
+# option after FILE, a negative value, help, an extra FILE, an option with
+# no value
+for fixture in C3 Yp Vee B3 A2; do
+  same prune --form json "$fixture.txt"
+  same prune --format=json "$fixture.txt"
+  same prune --format json --format text "$fixture.txt"
+  same iterate "$fixture.txt" --max 2
+  same iterate --max -1 "$fixture.txt"
+  same veins --mode oracle --mode fast "$fixture.txt"
+  same info "$fixture.txt" "$fixture.txt"
+done
+same info -h
+same prune --help
+same prune --out
+same check --count 5 --max-size 4 --seed -3
 same check --seed 3 --count 60 --max-size 8
 # the corpora the benchmark's check ops draw: the defaults (--count 100
 # --max-size 10), whose posets above 8 elements skip the limit-8 checks,

@@ -8,11 +8,19 @@ bug, reported in one line). Diagnostics go to the error stream; document
 output goes to standard output so it can be piped into other commands.
 When the reader of standard output stops early (``veinprune gen chain
 --size 20000 | head -n 1``), the command ends quietly with exit 0.
+
+The argparse parser built by ``_build_parser`` defines the command line
+and reports every error and help text. A plain line (``prune --format
+json FILE``) is read straight from that parser's action table, at a
+fraction of the cost of an argparse parse; any other line (``--help``, an
+abbreviation, ``--opt=value``, ``--``, a value that starts with '-', a
+bad value) goes to argparse.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -305,9 +313,56 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()
 
 
+def _plain_forms(parser: argparse.ArgumentParser) -> dict:
+    """For each subcommand of ``parser``, read from its own actions: the
+    positional actions, the one-value option actions by exact option
+    string, and the namespace that its parse starts from. An action's
+    default goes over ``set_defaults``, as in argparse. A flag such as
+    ``-h`` takes no value, so it is not keyed and its line goes to
+    argparse. ``tests/test_cli.py`` holds the table's reading to
+    argparse's on lines built from every action it keys."""
+    (sub,) = parser._subparsers._group_actions
+    return {name: (sp._get_positional_actions(),
+                   {s: a for s, a in sp._option_string_actions.items()
+                    if a.nargs is None},
+                   {"command": name, **sp._defaults,
+                    **{a.dest: a.default for a in sp._actions
+                       if a.default is not argparse.SUPPRESS}})
+            for name, sp in sub.choices.items()}
+
+
+_FORMS = _plain_forms(_PARSER)
+
+
+def _parse(argv: list[str] | None = None) -> argparse.Namespace:
+    """``_PARSER.parse_args(argv)``. A plain line is read from ``_FORMS``:
+    a subcommand name, then its positionals and exact option strings, each
+    option with one value that does not start with '-', and each value
+    converted and checked by argparse's own ``_get_values``. Every other
+    line goes to argparse, which prints each help text and error."""
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in _FORMS:
+        positionals, options, defaults = _FORMS[argv[0]]
+        args, found = argparse.Namespace(**defaults), 0
+        tokens = iter(argv[1:])
+        with contextlib.suppress(IndexError, argparse.ArgumentError):
+            for arg in tokens:
+                if (action := options.get(arg)) is not None:
+                    arg = next(tokens, "-")  # no value: left to argparse
+                if arg.startswith("-") and (action is not None or arg != "-"):
+                    break
+                if action is None:  # IndexError: one positional too many
+                    action, found = positionals[found], found + 1
+                setattr(args, action.dest, _PARSER._get_values(action, [arg]))
+            else:
+                if found == len(positionals):
+                    return args
+    return _PARSER.parse_args(argv)
+
+
 def cli(argv: list[str] | None = None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         if isinstance(exc.code, int):
             return exc.code

@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import gc
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -488,11 +489,127 @@ def test_gen_kinds_equal_their_builders(capsys, b3):
 
 
 def test_parser_is_built_once(monkeypatch, capsys):
-    def boom():
-        raise RuntimeError("the parser was rebuilt")
+    def boom(*args):
+        raise RuntimeError("the parser or its table was rebuilt")
     monkeypatch.setattr(veinprune.cli, "_build_parser", boom)
+    monkeypatch.setattr(veinprune.cli, "_plain_forms", boom)
     assert cli(["gen", "C3"]) == 0
     assert capsys.readouterr().out == "# C3\na < b\nb < c\n"
+    assert cli(["gen", "--size=2", "chain"]) == 0  # read by argparse
+    assert capsys.readouterr().out == "a < b\n"
+
+
+def _values(action) -> list[str]:
+    """Values to give ``action``: two or more that it takes, then ones it
+    rejects or that argparse reads in its own way."""
+    if action.choices is not None:
+        good = [*action.choices]
+    else:
+        good = {int: ["3", " 7"], float: ["0.5", "1e-3", "inf"]}.get(
+            action.type, ["F", "-", "", "a b"])
+    return good + ["bogus", "3.5", "", "-3", "-x", "--"]
+
+
+def _argv_corpus(name: str) -> list[list[str]]:
+    """Command lines of subcommand ``name`` built from its ``_FORMS`` entry:
+    every value of each positional and each option, each option before and
+    after the positionals, repeated, as ``--opt=value``, abbreviated, after
+    ``--`` and with no value; help, and missing, extra and unknown
+    arguments."""
+    positionals, options, _ = veinprune.cli._FORMS[name]
+    pos = [_values(action)[0] for action in positionals]
+    corpus = [[name, *pos], [name], [name, *pos, *pos], [name, *pos, "x"],
+              [name, "--bogus", *pos], [name, *pos, "-x"], [name, "-h"],
+              [name, *pos, "--help"], [name, "--", *pos], [name, *pos, "--"]]
+    for i, action in enumerate(positionals):
+        corpus += [[name, *pos[:i], value, *pos[i + 1:]]
+                   for value in _values(action)]
+    for opt, action in options.items():
+        first, second, *_ = values = _values(action)
+        for value in values:
+            corpus += [[name, opt, value, *pos], [name, *pos, opt, value]]
+        corpus += [[name, opt, first, *pos, opt, second],
+                   [name, opt, second, opt, first, *pos],
+                   [name, f"{opt}={first}", *pos],
+                   [name, opt[:-1], first, *pos],
+                   [name, *pos, opt], [name, opt, first, "--", *pos]]
+    every = [x for opt, action in options.items()
+             for x in (opt, _values(action)[0])]
+    return corpus + [[name, *every, *pos], [name, *pos, *every]]
+
+
+# lines that name no subcommand first, and lines of one subcommand that
+# argparse reads in its own way or rejects: abbreviations, --opt=value,
+# values that start with '-', and bad or empty values
+_OTHER_ARGVS = [
+    [], ["bogus"], ["inf", "F"], ["-h"], ["--help"], ["--", "info", "F"],
+    ["--bogus", "info", "F"], ["prune", "--out", "-x", "F"],
+    ["prune", "--form", "json", "F"], ["prune", "--format=json", "F"],
+    ["iterate", "--max", "-1", "F"], ["check", "--seed", "-3"],
+    ["prune", "--out", "", "F"], ["gen", "--size", "", "chain"],
+    ["gen", "chain", "--edge-prob", "x"], ["gen", "mystery"]]
+
+
+def _outcome(parse, argv: list[str]):
+    """``vars()`` of ``parse(argv)``, or its exit code, with what it wrote
+    to standard output and to the error stream."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(list(argv)))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name", [*veinprune.cli._FORMS, None])
+def test_plain_read_equals_argparse(name):
+    # the table read and argparse give equal namespaces, or exit alike with
+    # the same help or error text, on every line of the corpus
+    corpus = _argv_corpus(name) if name else _OTHER_ARGVS
+    differ = [argv for argv in corpus
+              if _outcome(veinprune.cli._parse, argv)
+              != _outcome(veinprune.cli._PARSER.parse_args, argv)]
+    assert not differ, differ
+
+
+def _benchmark_argvs() -> list[list[str]]:
+    """The command lines of the benchmark's ops (``perfbench/workloads.py``),
+    each with a document path, and the form of its check ops."""
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [[*argv, "doc.txt"] for argv in workloads._ARGV.values()] + [
+        ["check", "--seed", "40961", "--count", "30", "--max-size", "10"]]
+
+
+def test_plain_lines_do_not_reach_argparse(monkeypatch):
+    parse_args = veinprune.cli._PARSER.parse_args
+
+    def refuse(argv=None, namespace=None):
+        raise AssertionError(f"argparse read {argv}")
+    monkeypatch.setattr(veinprune.cli._PARSER, "parse_args", refuse)
+    for argv in _benchmark_argvs():
+        assert vars(veinprune.cli._parse(argv)) == vars(parse_args(argv))
+    # help, an abbreviation and an error each reach argparse exactly once
+    calls = []
+
+    def counted(argv=None, namespace=None):
+        calls.append(argv)
+        return parse_args(argv)
+    monkeypatch.setattr(veinprune.cli._PARSER, "parse_args", counted)
+    for argv, code in ((["prune", "--help"], 0),
+                       (["prune", "--form", "json", "doc.txt"], None),
+                       (["iterate", "--max", "x", "doc.txt"], 2)):
+        calls.clear()
+        if code is None:
+            assert veinprune.cli._parse(argv).format == "json"
+        else:
+            with pytest.raises(SystemExit) as exc:
+                veinprune.cli._parse(argv)
+            assert exc.value.code == code
+        assert calls == [argv]
 
 
 def test_multiline_name_is_input_error(tmp_path, capsys):
@@ -675,6 +792,19 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path, args):
 
 def test_unknown_command(capsys):
     assert cli(["frobnicate"]) == 2
+
+
+def test_cli_reads_sys_argv_when_given_none(yp_file, monkeypatch, capsys):
+    # a plain line, then one that only argparse reads (--opt=value)
+    monkeypatch.setattr("sys.argv", ["veinprune", "prune", "--format", "json",
+                                     yp_file])
+    assert cli() == 0
+    plain = capsys.readouterr().out
+    assert json.loads(plain)["elements"] == ["a", "b", "c", "d"]
+    monkeypatch.setattr("sys.argv", ["veinprune", "prune", "--format=json",
+                                     yp_file])
+    assert cli() == 0
+    assert capsys.readouterr().out == plain
 
 
 def test_main_entry_point(yp_file, monkeypatch, capsys):
